@@ -2,7 +2,8 @@
 
 Commands: evaluate, optimize, check, sweep, asymptotics.  Parsing is strict;
 unknown sections or keys abort with exit status 2 so sweep campaigns cannot
-silently drift.  Solver failures exit with status 3.  CSV output is written
+silently drift.  Solver failures exit with status 3; a sweep still writes
+every row and marks the cells whose solve failed.  CSV output is written
 in deterministic order with a mandatory header row.
 """
 
@@ -306,25 +307,33 @@ def run(config: RunConfig) -> int:
         print(f"optimum: {result.classification} [{_layers_text(result.schedule)}] ratio {result.valuation.ratio:.6f}")
     elif config.command == "sweep":
         rows = []
+        errors = []
         for gamma in config.sweep_gammas:
             for gamma_r in config.sweep_gamma_rs:
                 for eps in config.sweep_epsilons:
                     cell_market = replace(market, gamma=gamma, epsilon=eps)
                     cell_kernel = kernel.with_loading(gamma_r)
-                    report = check_conditions(model, cell_kernel, cell_market, tol=config.tol_quad)
-                    realized_layers = ""
-                    realized_class = ""
-                    if config.sweep_optimize:
-                        try:
+                    conditions = [""] * len(_CONDITION_HEADER)
+                    realized = ["", ""]
+                    # one failing cell is reported in its row, not by aborting the sweep
+                    try:
+                        report = check_conditions(model, cell_kernel, cell_market, tol=config.tol_quad)
+                        conditions = _condition_row(report)
+                        if config.sweep_optimize:
                             result = dinkelbach_optimize(model, cell_kernel, cell_market, tol=config.tol_root)
-                            realized_layers = result.layer_count
-                            realized_class = result.classification
-                        except NonpositiveRiskError:
-                            realized_class = "aborted-nonpositive-risk"
-                    rows.append([gamma, gamma_r, eps] + _condition_row(report) + [realized_layers, realized_class])
+                            realized = [result.layer_count, result.classification]
+                    except NonpositiveRiskError:
+                        realized = ["", "aborted-nonpositive-risk"]
+                    except (ValueError, ArithmeticError) as exc:
+                        errors.append(exc)
+                        realized = ["", "aborted-solver-error"]
+                    rows.append([gamma, gamma_r, eps] + conditions + realized)
         header = ["gamma", "gamma_r", "epsilon"] + _CONDITION_HEADER + ["realized_layer_count", "realized_classification"]
         _write_csv(config.out_path, header, rows, echo)
         print(f"sweep: {len(rows)} cells")
+        if errors:
+            print(f"solver error in {len(errors)} of {len(rows)} sweep cells; first: {errors[0]}", file=sys.stderr)
+            return 3
     else:  # asymptotics
         table = asymptotic_profit_gaps(config.asym_n, config.asym_unit_mean, config.asym_unit_sd, kernel, market)
         _write_csv(

@@ -134,12 +134,11 @@ def critical_attachment(gamma: float, model, base: BaseCurve, epsilon: float) ->
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
     g_lo = float(base.value(1.0 - epsilon))
-    s0 = base.slope_at_zero
-    g_hi = math.inf if s0 >= 1.0 else s0 / (1.0 - s0)
+    g_hi = base.gamma_upper()
     if gamma < g_lo - 1e-12 or gamma > g_hi + 1e-12:
         raise ValueError(f"gamma={gamma:g} outside the loading interval [{g_lo:g}, {g_hi:g}]")
     slope = gamma / (1.0 + gamma)
-    if slope >= s0:
+    if slope >= base.slope_at_zero:
         return 0.0
     u_root = bisect_root(lambda u: float(base.value(u)) - slope * u, 1e-12, 1.0, xtol=1e-15)
     x_eps = model.var_level(epsilon)
@@ -174,8 +173,7 @@ def balance_concavity_scan(
         raise ValueError("need at least 5 scan points")
     eps = market.epsilon
     g_lo = gamma_lower_exact(base, eps)
-    s0 = base.slope_at_zero
-    g_hi = math.inf if s0 >= 1.0 else s0 / (1.0 - s0)
+    g_hi = base.gamma_upper()
     capped = not math.isfinite(g_hi) or g_hi > gamma_cap
     g_hi_eff = min(g_hi, gamma_cap)
     gammas = np.linspace(g_lo, g_hi_eff, n_points)
@@ -273,7 +271,7 @@ def find_tail_condition_violation(search: ViolationSearchSpec = ViolationSearchS
         tail_rhs = curve_cost(model, probe.k0, 0.0, x_eps, tol=1e-13)
         if tail_lhs <= tail_rhs:
             continue
-        g_hi = math.inf if c >= 1.0 else c / (1.0 - c)
+        g_hi = base.gamma_upper()
         if fallback is None:
             g_fb = 0.975 * g_hi if math.isfinite(g_hi) else 1.0
             kernel_fb = PricingKernel(base, g_fb)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .losses import _ret
+
 _CONCAVITY_GRID = np.linspace(0.0, 1.0, 201)
 
 
@@ -23,11 +25,6 @@ def _validate_unit(u):
     if np.any((arr < 0.0) | (arr > 1.0)):
         raise ValueError("probability level must lie in [0, 1]")
     return arr
-
-
-def _ret(arr):
-    arr = np.asarray(arr)
-    return float(arr) if arr.ndim == 0 else arr
 
 
 class Distortion(ABC):
@@ -86,6 +83,14 @@ class BaseCurve(ABC):
     @property
     @abstractmethod
     def slope_at_zero(self) -> float: ...
+
+    def gamma_upper(self) -> float:
+        """Largest loading for which the loaded kernel still rises at the origin.
+
+        Infinite when the slope at zero is exactly one.
+        """
+        s0 = self.slope_at_zero
+        return math.inf if s0 >= 1.0 else s0 / (1.0 - s0)
 
 
 @dataclass(frozen=True)
@@ -161,14 +166,8 @@ class PricingKernel:
         return PricingKernel(self.base, gamma_r)
 
     def gamma_upper(self) -> float:
-        """Largest loading for which the loaded kernel still rises at the origin.
-
-        Infinite when the base slope at zero is exactly one.
-        """
-        s0 = self.k0_prime_at_zero
-        if s0 >= 1.0:
-            return math.inf
-        return s0 / (1.0 - s0)
+        """Largest loading for which the loaded kernel still rises at the origin."""
+        return self.base.gamma_upper()
 
     def gamma_lower(self, epsilon: float) -> float:
         """Base-curve value at the retained quantile level, K0(1 - epsilon)."""

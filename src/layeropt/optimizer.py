@@ -26,7 +26,7 @@ from .contracts import (
     truncated_stop_loss,
     zero_schedule,
 )
-from .valuation import CVAR, VAR, MarketSpec, NonpositiveRiskError, Valuation, criterion, expected_profit
+from .valuation import CVAR, MarketSpec, NonpositiveRiskError, Valuation, criterion, expected_profit, risk_ledger
 
 _WIDTH_TOL = 1e-12
 
@@ -109,8 +109,7 @@ def lagrange_optimum(mu: float, model, kernel, market: MarketSpec) -> IndemnityS
 
     Interval edges are located in probability space (where the kernel's
     concavity guarantees at most two crossings of any level) and mapped back
-    through the quantile function.  A grid scan guards the structural
-    assumption and falls back to sign-run extraction if it ever fails.
+    through the quantile function.
     """
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
@@ -148,58 +147,6 @@ def lagrange_optimum(mu: float, model, kernel, market: MarketSpec) -> IndemnityS
             detach = math.inf if u_stop is None else float(model.quantile(u_stop))
             layers[-1] = Layer(layers[-1].attachment, detach)
 
-    schedule = schedule_from_layers(layers)
-    if not _sign_pattern_matches(schedule, mu, model, kernel, market):
-        schedule = _layers_from_scan(mu, model, kernel, market)
-    return schedule
-
-
-def _sign_pattern_matches(schedule, mu, model, kernel, market, n: int = 10_000) -> bool:
-    x_eps = model.var_level(market.epsilon)
-    hi = x_eps * 1.25 if market.risk_measure == VAR else float(model.quantile(1.0 - 1e-7))
-    xs = np.linspace(0.0, hi, n)
-    gain = np.asarray(marginal_gain(xs, mu, model, kernel, market))
-    idx = np.clip(np.searchsorted(schedule.breakpoints, xs, side="right") - 1, 0, len(schedule.slopes) - 1)
-    ceded = np.asarray(schedule.slopes)[idx] == 1.0
-    scale = max(mu, kernel.gamma_r, 1e-6)
-    mismatch = (gain > 1e-9 * scale) != ceded
-    # tolerate mismatches right next to layer edges and at near-zero gains
-    near_edge = np.zeros_like(mismatch)
-    step = xs[1] - xs[0]
-    for b in schedule.breakpoints:
-        near_edge |= np.abs(xs - b) <= 2.0 * step
-    near_edge |= np.abs(xs - x_eps) <= 2.0 * step
-    near_tie = np.abs(gain) <= 1e-9 * scale
-    return not np.any(mismatch & ~near_edge & ~near_tie)
-
-
-def _layers_from_scan(mu, model, kernel, market, n: int = 20_001) -> IndemnitySchedule:
-    """Fallback: extract sign runs of the marginal gain on a fine grid."""
-    x_eps = model.var_level(market.epsilon)
-    hi = x_eps if market.risk_measure == VAR else float(model.quantile(1.0 - 1e-9))
-    xs = np.linspace(0.0, hi, n)
-    gain = np.asarray(marginal_gain(xs, mu, model, kernel, market))
-    pos = gain >= 0.0
-    layers = []
-    i = 0
-    while i < n:
-        if pos[i]:
-            j = i
-            while j + 1 < n and pos[j + 1]:
-                j += 1
-            lo = xs[i]
-            if i > 0:
-                lo = bisect_root(lambda x: marginal_gain(x, mu, model, kernel, market), xs[i - 1], xs[i], xtol=1e-12)
-            hi_run = xs[j]
-            if j + 1 < n:
-                hi_run = bisect_root(lambda x: marginal_gain(x, mu, model, kernel, market), xs[j], xs[j + 1], xtol=1e-12)
-            elif market.risk_measure == CVAR and _cvar_detachment(kernel, mu, market.epsilon) is None:
-                hi_run = math.inf
-            if hi_run - lo > _WIDTH_TOL:
-                layers.append(Layer(lo, min(hi_run, x_eps) if market.risk_measure == VAR else hi_run))
-            i = j + 1
-        else:
-            i += 1
     return schedule_from_layers(layers)
 
 
@@ -212,25 +159,20 @@ def solve_attachment_fixed_point(model, kernel, market: MarketSpec, *, tol_root:
     which case the smallest root is reported.
     """
     market0 = replace(market, beta=0.0)
-    eps = market0.epsilon
-    x_eps = model.var_level(eps)
-    mean = model.mean
-    tail_exp = float(model.tail_expectation(x_eps)) if market0.risk_measure == CVAR else 0.0
+    x_eps = model.var_level(market0.epsilon)
+    gain = market0.gamma * model.mean
 
     grid = np.linspace(0.0, x_eps, 513)
     grid_full = np.unique(np.concatenate([grid, [t for t in model.cdf_knots if 0.0 < t < x_eps]]))
     cum = cumulative_kernel_cost(model, kernel, grid_full)
-    profit = market0.gamma * mean - (cum[-1] - cum)
-    if market0.risk_measure == VAR:
-        risk = grid_full
-    else:
-        risk = tail_exp - (x_eps - grid_full)
+    profit = gain - (cum[-1] - cum)
+    floor, relief = risk_ledger(model, market0, grid_full, x_eps)
     price = np.asarray(kernel.k(model.cdf(grid_full)))
-    resid_grid = price * risk - profit
+    resid_grid = price * (floor - relief) - profit
 
     def resid(a: float) -> float:
-        g = market0.gamma * mean - kernel_cost(model, kernel, a, x_eps, tol=1e-12)
-        r = a if market0.risk_measure == VAR else tail_exp - (x_eps - a)
+        g = gain - kernel_cost(model, kernel, a, x_eps, tol=1e-12)
+        r = float(floor - risk_ledger(model, market0, a, x_eps)[1])
         return float(kernel.k(model.cdf(a))) * r - g
 
     sign = np.sign(resid_grid)
@@ -239,9 +181,8 @@ def solve_attachment_fixed_point(model, kernel, market: MarketSpec, *, tol_root:
         for i in range(len(grid_full) - 1)
         if sign[i] != sign[i + 1] and sign[i] != 0.0
     ]
-    zero_ratio = criterion(model, kernel, zero_schedule(), market0).ratio
     if not brackets:
-        return AttachmentResult(x_eps, zero_ratio, False)
+        return AttachmentResult(x_eps, gain / floor, False)
     lo, hi = brackets[0]
     a_hat = bisect_root(resid, lo, hi, xtol=tol_root)
     ratio = criterion(model, kernel, truncated_stop_loss(a_hat, x_eps), market0).ratio
@@ -260,9 +201,8 @@ def best_truncated_stop_loss(
     market0 = replace(market, beta=0.0)
     eps = market0.epsilon
     x_eps = model.var_level(eps)
-    mean = model.mean
+    gain = market0.gamma * model.mean
     b_max = max(2.0 * x_eps, float(model.quantile(1.0 - eps / 10.0)))
-    tail_exp = float(model.tail_expectation(x_eps)) if market0.risk_measure == CVAR else 0.0
 
     def ratio_grid(a_vals, b_vals, include_inf: bool):
         pts = np.unique(
@@ -286,15 +226,9 @@ def best_truncated_stop_loss(
             b_all = b_vals
         a_col = a_vals[:, None]
         b_row = b_all[None, :]
-        ceded_at = np.minimum(b_row, x_eps) - np.minimum(a_col, x_eps)
-        if market0.risk_measure == VAR:
-            risk = np.broadcast_to(x_eps - ceded_at, cost.shape)
-        else:
-            ti_a = np.asarray(model.tail_integral(np.maximum(a_vals, x_eps)))
-            ti_b = np.where(
-                np.isinf(b_all), 0.0, np.asarray(model.tail_integral(np.maximum(np.minimum(b_all, b_max * 8), x_eps))))
-            risk = tail_exp - ceded_at - (ti_a[:, None] - ti_b[None, :]) / eps
-        profit = market0.gamma * mean - cost
+        floor, relief = risk_ledger(model, market0, a_col, b_row)
+        risk = floor - relief
+        profit = gain - cost
         valid = (b_row - a_col > 1e-9) & (risk > 1e-12)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(valid, profit / risk, -np.inf)
@@ -312,15 +246,11 @@ def best_truncated_stop_loss(
                 [np.linspace(a, b, 9), [t for t in model.cdf_knots if a < t < b]]
             ))
             cost = cumulative_kernel_cost(model, kernel, grid)[-1]
-        ceded_at = min(b, x_eps) - min(a, x_eps)
-        if market0.risk_measure == VAR:
-            risk = x_eps - ceded_at
-        else:
-            ti_b = 0.0 if math.isinf(b) else float(model.tail_integral(max(b, x_eps)))
-            risk = tail_exp - ceded_at - (float(model.tail_integral(max(a, x_eps))) - ti_b) / eps
+        floor, relief = risk_ledger(model, market0, a, b)
+        risk = float(floor - relief)
         if risk <= 1e-12:
             return -math.inf
-        return (market0.gamma * mean - cost) / risk
+        return (gain - cost) / risk
 
     from scipy.optimize import minimize_scalar
 
@@ -332,11 +262,12 @@ def best_truncated_stop_loss(
     da = float(a_vals[1] - a_vals[0])
 
     if math.isinf(b_best):
+        best_val = panel_ratio(a_best, math.inf)
         res = minimize_scalar(lambda a: -panel_ratio(a, math.inf),
                               bounds=(max(0.0, a_best - da), min(x_eps, a_best + da)),
                               method="bounded", options={"xatol": tol * 1e-2, "maxiter": 100})
-        if panel_ratio(float(res.x), math.inf) >= panel_ratio(a_best, math.inf):
-            a_best = float(res.x)
+        if -res.fun >= best_val:
+            a_best, best_val = float(res.x), -res.fun
     else:
         db = float(b_vals[1] - b_vals[0]) if len(b_vals) > 1 else da
         for step_a, step_b, n_pts in ((da, db, 65), (da / 16.0, db / 16.0, 33)):
@@ -356,8 +287,11 @@ def best_truncated_stop_loss(
                               bounds=(max(a_best + 1e-9, b_best - step), b_best + step),
                               method="bounded", options={"xatol": tol * 1e-2, "maxiter": 100})
         if -res.fun >= best_val:
-            b_best = float(res.x)
+            b_best, best_val = float(res.x), -res.fun
 
+    # a layer that does not beat no cession is a degenerate sliver of the search
+    if not best_val > gain / risk_ledger(model, market0, 0.0, 0.0)[0]:
+        return _finish(zero_schedule(), model, kernel, market)
     return _finish(truncated_stop_loss(a_best, b_best), model, kernel, market)
 
 
@@ -424,17 +358,11 @@ def discrete_bruteforce_oracle(
     if not (1 <= n <= 20):
         raise ValueError("n_cells must lie in 1..20 (enumeration cost guard)")
     market0 = replace(market, beta=0.0)
-    eps = market0.epsilon
-    x_eps = model.var_level(eps)
     if x_max is None:
-        x_max = float(model.quantile(1.0 - eps / 10.0))
+        x_max = float(model.quantile(1.0 - market0.epsilon / 10.0))
     edges = np.linspace(0.0, float(x_max), n + 1)
     cost = np.array([kernel_cost(model, kernel, lo, hi, tol=1e-12) for lo, hi in zip(edges, edges[1:])])
-    below = np.maximum(np.minimum(edges[1:], x_eps) - np.minimum(edges[:-1], x_eps), 0.0)
-    if market0.risk_measure == CVAR:
-        ti = np.asarray(model.tail_integral(np.maximum(edges, x_eps)))
-        tail_excess = ti[:-1] - ti[1:]
-        tail_exp = float(model.tail_expectation(x_eps))
+    floor, relief = risk_ledger(model, market0, edges[:-1], edges[1:])
 
     best_ratio = -math.inf
     best_mask = 0
@@ -443,13 +371,8 @@ def discrete_bruteforce_oracle(
         stop = min(start + (1 << 16), 1 << n)
         masks = np.arange(start, stop, dtype=np.uint32)
         bits = ((masks[:, None] >> powers[None, :]) & 1).astype(np.float64)
-        ceded_cost = bits @ cost
-        ceded_at = bits @ below
-        if market0.risk_measure == VAR:
-            risk = x_eps - ceded_at
-        else:
-            risk = tail_exp - ceded_at - (bits @ tail_excess) / eps
-        profit = market0.gamma * model.mean - ceded_cost
+        risk = floor - bits @ relief
+        profit = market0.gamma * model.mean - bits @ cost
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(risk > 1e-12, profit / risk, -np.inf)
         k = int(np.argmax(ratios))
@@ -457,16 +380,6 @@ def discrete_bruteforce_oracle(
             best_ratio = float(ratios[k])
             best_mask = int(masks[k])
 
-    layers = []
-    i = 0
-    while i < n:
-        if (best_mask >> i) & 1:
-            j = i
-            while j + 1 < n and (best_mask >> (j + 1)) & 1:
-                j += 1
-            layers.append(Layer(float(edges[i]), float(edges[j + 1])))
-            i = j + 1
-        else:
-            i += 1
-    schedule = schedule_from_layers(layers)
-    return _finish(schedule, model, kernel, market)
+    # canonical form merges runs of ceded cells into layers
+    slopes = tuple(float((best_mask >> i) & 1) for i in range(n)) + (0.0,)
+    return _finish(IndemnitySchedule(tuple(edges), slopes), model, kernel, market)

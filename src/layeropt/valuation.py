@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._integrate import kernel_cost
 from .contracts import IndemnitySchedule
 
@@ -54,37 +56,42 @@ class Valuation:
     ratio: float
 
 
-def _segments(schedule: IndemnitySchedule):
-    bps = schedule.breakpoints
-    for i, slope in enumerate(schedule.slopes):
-        hi = bps[i + 1] if i + 1 < len(bps) else math.inf
-        yield slope, bps[i], hi
-
-
 def reinsurer_surplus(model, kernel, schedule: IndemnitySchedule, *, tol: float = 1e-10) -> float:
     """Expected surplus of the reinsurer: integral of K(F(x)) dI(x)."""
+    bps = schedule.breakpoints
     total = 0.0
-    for slope, lo, hi in _segments(schedule):
+    for slope, lo, hi in zip(schedule.slopes, bps, bps[1:] + (math.inf,)):
         if slope > 0.0:
             total += slope * kernel_cost(model, kernel, lo, hi, tol=tol)
     return total
 
 
+def risk_ledger(model, market: MarketSpec, a, b):
+    """Retained risk without cession, and its drop from ceding each layer [a, b).
+
+    Retained VaR and CVaR are linear in the indemnity schedule, so a schedule
+    paying slope s_i on layers [a_i, b_i) retains ``floor - s @ relief``.  A
+    layer relieves its width below the VaR level and, under CVaR, its tail
+    integral above that level divided by epsilon.  ``a`` and ``b`` broadcast;
+    ``b`` may be infinite.  Returns ``(floor, relief)``.
+    """
+    x_eps = model.var_level(market.epsilon)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    relief = np.minimum(b, x_eps) - np.minimum(a, x_eps)
+    if market.risk_measure == VAR:
+        return x_eps, relief
+    unbounded = np.isinf(b)
+    ti_a = model.tail_integral(np.maximum(a, x_eps))
+    ti_b = np.where(unbounded, 0.0, model.tail_integral(np.where(unbounded, x_eps, np.maximum(b, x_eps))))
+    return float(model.tail_expectation(x_eps)), relief + (ti_a - ti_b) / market.epsilon
+
+
 def retained_risk(model, schedule: IndemnitySchedule, market: MarketSpec) -> float:
     """VaR or CVaR of the cedent's loss net of the schedule."""
-    x_eps = model.var_level(market.epsilon)
-    ceded_at_level = float(schedule.evaluate(x_eps))
-    if market.risk_measure == VAR:
-        risk = x_eps - ceded_at_level
-    else:
-        excess = 0.0
-        for slope, lo, hi in _segments(schedule):
-            if slope == 0.0:
-                continue
-            lo_eff = max(lo, x_eps)
-            hi_tail = 0.0 if math.isinf(hi) else float(model.tail_integral(max(hi, x_eps)))
-            excess += slope * (float(model.tail_integral(lo_eff)) - hi_tail)
-        risk = float(model.tail_expectation(x_eps)) - ceded_at_level - excess / market.epsilon
+    bps = schedule.breakpoints
+    floor, relief = risk_ledger(model, market, bps, bps[1:] + (math.inf,))
+    risk = float(floor - np.asarray(schedule.slopes) @ relief)
     if risk <= 0.0:
         raise NonpositiveRiskError(
             f"retained {market.risk_measure} is {risk:.3e}; the ratio criterion is undefined"

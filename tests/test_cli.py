@@ -1,6 +1,8 @@
 """Tests for the configuration front end."""
 
+import csv
 import math
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,38 @@ risk_measure = var
 
 [run]
 command = check
+"""
+
+
+# The CLI's output on demos/baseline.ini, as is and with risk_measure = cvar,
+# one file per command.  Regenerate a file only for an intended output change:
+#   layeropt --config <ini> --command <command> --out tests/golden/baseline_<measure>_<command>.csv
+GOLDEN = Path(__file__).resolve().parent / "golden"
+BASELINE_INI = Path(__file__).resolve().parent.parent / "demos" / "baseline.ini"
+
+PARETO_CVAR_SWEEP = """
+[model]
+family = pareto
+shape = 2.0
+mean = 1.0
+
+[kernel]
+family = quadratic
+c = 0.5
+gamma_r = 0.1
+
+[market]
+gamma = 0.1
+epsilon = 0.05
+risk_measure = cvar
+
+[run]
+command = sweep
+
+[sweep]
+gamma = 0.05, 0.1, 0.15, 0.2
+gamma_r = 0.1, 0.2, 0.3, 0.4
+epsilon = 0.02, 0.05, 0.1
 """
 
 
@@ -186,3 +220,37 @@ class TestMain:
         path.write_text(text)
         out = tmp_path / "out.csv"
         assert main(["--config", str(path), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("measure", ["var", "cvar"])
+@pytest.mark.parametrize("command", ["check", "evaluate", "optimize", "sweep", "asymptotics"])
+def test_baseline_csv_matches_golden_bytes(tmp_path, capsys, measure, command):
+    text = BASELINE_INI.read_text().replace("risk_measure = var", f"risk_measure = {measure}")
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(path), "--command", command, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"baseline_{measure}_{command}.csv").read_bytes()
+
+
+def test_sweep_marks_failed_cells_and_writes_every_row(tmp_path, capsys):
+    """Cells whose solve raises (here the unbounded-tail quadrature on a
+    Pareto(2) tail) are marked, the other cells are still solved, and the
+    exit status still reports the failure."""
+    path = tmp_path / "cfg.ini"
+    path.write_text(PARETO_CVAR_SWEEP)
+    out = tmp_path / "sweep.csv"
+    assert main(["--config", str(path), "--out", str(out)]) == 3
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 48
+    failed = [r for r in rows if r["realized_classification"] == "aborted-solver-error"]
+    assert failed
+    for row in failed:
+        assert row["realized_layer_count"] == ""
+        assert row["predicted_shape"] != ""
+    solved = [r for r in rows if r not in failed]
+    assert all(r["realized_classification"] in {"no-cession", "single-layer", "multi-layer"} for r in solved)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"solver error in {len(failed)} of 48 sweep cells; first: ")

@@ -4,13 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layeropt import (
+    CVAR,
+    VAR,
     Exponential,
+    Gamma,
     IndemnitySchedule,
     Layer,
+    Lognormal,
     MarketSpec,
     NonpositiveRiskError,
+    Pareto,
     PowerDistortion,
     best_truncated_stop_loss,
     criterion,
@@ -184,6 +191,13 @@ class TestBestTruncatedStopLoss:
         assert result.layer_count == 1
         assert result.classification == "single-layer"
 
+    def test_no_cession_when_no_layer_beats_it(self):
+        # under CVaR every layer of the baseline loses to no cession; a sliver
+        # of a layer must not be reported as a single-layer optimum
+        result = best_truncated_stop_loss(MODEL, KERNEL, CVAR_MARKET)
+        assert result.classification == "no-cession"
+        assert result.valuation.ratio == pytest.approx(0.1 / (X_EPS + 1.0), abs=1e-9)
+
 
 class TestDinkelbach:
     def test_baseline_single_layer(self):
@@ -283,3 +297,55 @@ def test_optimizer_layer_edges_cross_kernel_exactly():
     mu = result.mu_trace[-1]
     layer = result.schedule.layers()[0]
     assert KERNEL.k(MODEL.cdf(layer.attachment)) == pytest.approx(mu, abs=1e-8)
+
+
+def _sign_mismatches(schedule, mu, model, kernel, market, n=10_000):
+    """Grid points where the schedule's cession disagrees with the sign of the
+    marginal gain, ignoring points within two grid steps of a layer edge or
+    the VaR level and points where the gain is a near-tie."""
+    x_eps = model.var_level(market.epsilon)
+    hi = x_eps * 1.25 if market.risk_measure == VAR else float(model.quantile(1.0 - 1e-7))
+    xs = np.linspace(0.0, hi, n)
+    gain = np.asarray(marginal_gain(xs, mu, model, kernel, market))
+    idx = np.clip(np.searchsorted(schedule.breakpoints, xs, side="right") - 1, 0, len(schedule.slopes) - 1)
+    ceded = np.asarray(schedule.slopes)[idx] == 1.0
+    scale = max(mu, kernel.gamma_r, 1e-6)
+    mismatch = (gain > 1e-9 * scale) != ceded
+    step = xs[1] - xs[0]
+    edges = np.asarray(schedule.breakpoints + (x_eps,))
+    near_edge = np.min(np.abs(xs[:, None] - edges[None, :]), axis=1) <= 2.0 * step
+    near_tie = np.abs(gain) <= 1e-9 * scale
+    return xs[mismatch & ~near_edge & ~near_tie]
+
+
+@st.composite
+def _lagrange_instances(draw):
+    family = draw(st.sampled_from(["exponential", "lognormal", "gamma", "pareto"]))
+    if family == "exponential":
+        model = Exponential(draw(st.floats(0.5, 2.0)))
+    elif family == "lognormal":
+        model = Lognormal.from_mean(1.0, draw(st.floats(0.3, 1.5)))
+    elif family == "gamma":
+        model = Gamma.from_mean(1.0, draw(st.floats(0.5, 4.0)))
+    else:
+        model = Pareto.with_mean(draw(st.floats(1.5, 4.0)), 1.0)
+    gamma_r = draw(st.floats(0.0, 0.5))
+    if draw(st.booleans()):
+        kernel = quadratic_kernel(draw(st.floats(0.05, 1.0)), gamma_r)
+    else:
+        kernel = from_distortion(PowerDistortion(draw(st.floats(0.3, 0.99))), gamma_r)
+    market = MarketSpec(
+        gamma=0.1, epsilon=draw(st.floats(0.01, 0.25)), risk_measure=draw(st.sampled_from([VAR, CVAR]))
+    )
+    mu = draw(st.floats(0.0, 1.2)) * kernel.k_max()[1]
+    return model, kernel, market, mu
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_lagrange_instances())
+def test_lagrange_optimum_cedes_exactly_where_gain_is_positive(instance):
+    """Concavity of the kernel bounds the sign changes of the marginal gain,
+    so the bracketed edges must reproduce its sign pattern on a fine grid."""
+    model, kernel, market, mu = instance
+    schedule = lagrange_optimum(mu, model, kernel, market)
+    assert _sign_mismatches(schedule, mu, model, kernel, market).size == 0

@@ -20,6 +20,7 @@ from layeropt import (
     truncated_stop_loss,
     zero_schedule,
 )
+from layeropt.valuation import risk_ledger
 
 MODEL = Exponential(1.0)
 KERNEL = quadratic_kernel(0.5, 0.1)
@@ -97,6 +98,29 @@ class TestRetainedRisk:
     def test_nonpositive_risk_raises(self):
         with pytest.raises(NonpositiveRiskError):
             retained_risk(MODEL, truncated_stop_loss(0.0, X_EPS), VAR_MARKET)
+
+    def test_cvar_fractional_layers_on_both_sides_of_var_level(self):
+        # exponential tail: E[X | X >= x_eps] = x_eps + 1, and a slope-s
+        # segment [lo, hi) above x_eps cedes s * (e^-lo - e^-hi) / eps of it
+        schedule = IndemnitySchedule((0.0, 1.0, 2.0, 3.5, 5.0, 6.0), (0.0, 0.5, 0.0, 1.0, 0.0, 0.3))
+        tail_ceded = (math.exp(-3.5) - math.exp(-5.0) + 0.3 * math.exp(-6.0)) / 0.05
+        want = X_EPS + 1.0 - 0.5 - tail_ceded
+        assert retained_risk(MODEL, schedule, CVAR_MARKET) == pytest.approx(want, abs=1e-12)
+
+
+class TestRiskLedger:
+    @pytest.mark.parametrize("market", [VAR_MARKET, CVAR_MARKET])
+    def test_broadcast_matches_single_layers(self, market):
+        a = np.array([0.2, 1.0, 2.5, 3.2])
+        b = np.array([0.5, 2.0, X_EPS, 4.0, math.inf])
+        floor, relief = risk_ledger(MODEL, market, a[:, None], b[None, :])
+        assert floor == retained_risk(MODEL, zero_schedule(), market)
+        assert relief.shape == (4, 5)
+        for i, lo in enumerate(a):
+            for j, hi in enumerate(b):
+                if hi > lo:
+                    want = floor - retained_risk(MODEL, truncated_stop_loss(lo, hi), market)
+                    assert relief[i, j] == pytest.approx(want, abs=1e-12)
 
 
 class TestCriterion:
