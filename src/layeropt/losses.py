@@ -364,11 +364,11 @@ class EmpiricalTable(LossModel):
         return areas, closing
 
     def tail_integral(self, t):
-        t_arr = np.atleast_1d(_validate_level(t, "t"))
+        t_arr = np.ravel(_validate_level(t, "t"))
         xs, ps = np.asarray(self.xs), np.asarray(self.ps)
         areas, closing = self._segment_tail_area()
         suffix = np.concatenate([np.cumsum(areas[::-1])[::-1], [0.0]]) + closing
-        out = np.empty_like(t_arr)
+        out = np.empty(t_arr.size)
         for i, tv in enumerate(t_arr):
             if tv <= xs[0]:
                 out[i] = (xs[0] - tv) + suffix[0]

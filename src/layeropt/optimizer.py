@@ -202,6 +202,7 @@ def best_truncated_stop_loss(
     eps = market0.epsilon
     x_eps = model.var_level(eps)
     gain = market0.gamma * model.mean
+    floor = risk_ledger(model, market0, 0.0, 0.0)[0]
     b_max = max(2.0 * x_eps, float(model.quantile(1.0 - eps / 10.0)))
 
     def ratio_grid(a_vals, b_vals, include_inf: bool):
@@ -226,8 +227,7 @@ def best_truncated_stop_loss(
             b_all = b_vals
         a_col = a_vals[:, None]
         b_row = b_all[None, :]
-        floor, relief = risk_ledger(model, market0, a_col, b_row)
-        risk = floor - relief
+        risk = floor - risk_ledger(model, market0, a_col, b_row)[1]
         profit = gain - cost
         valid = (b_row - a_col > 1e-9) & (risk > 1e-12)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -246,8 +246,7 @@ def best_truncated_stop_loss(
                 [np.linspace(a, b, 9), [t for t in model.cdf_knots if a < t < b]]
             ))
             cost = cumulative_kernel_cost(model, kernel, grid)[-1]
-        floor, relief = risk_ledger(model, market0, a, b)
-        risk = float(floor - relief)
+        risk = float(floor - risk_ledger(model, market0, a, b)[1])
         if risk <= 1e-12:
             return -math.inf
         return (gain - cost) / risk
@@ -290,7 +289,7 @@ def best_truncated_stop_loss(
             b_best, best_val = float(res.x), -res.fun
 
     # a layer that does not beat no cession is a degenerate sliver of the search
-    if not best_val > gain / risk_ledger(model, market0, 0.0, 0.0)[0]:
+    if not best_val > gain / floor:
         return _finish(zero_schedule(), model, kernel, market)
     return _finish(truncated_stop_loss(a_best, b_best), model, kernel, market)
 

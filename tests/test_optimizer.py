@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from layeropt import (
     CVAR,
     VAR,
+    EmpiricalTable,
     Exponential,
     Gamma,
     IndemnitySchedule,
@@ -198,6 +199,22 @@ class TestBestTruncatedStopLoss:
         assert result.classification == "no-cession"
         assert result.valuation.ratio == pytest.approx(0.1 / (X_EPS + 1.0), abs=1e-9)
 
+    @pytest.mark.parametrize("kernel, want", [
+        (quadratic_kernel(0.5, 0.1), (0.1, "no-cession")),
+        (quadratic_kernel(0.2, 0.05), (0.1, "single-layer")),
+        (quadratic_kernel(0.5, 0.1), (0.3, "single-layer")),
+    ])
+    def test_empirical_table_under_cvar(self, kernel, want):
+        # a piecewise-linear cdf with an atom at zero and an exponential tail
+        model = EmpiricalTable((0.0, 0.5, 2.0, 5.0), (0.1, 0.4, 0.8, 0.97))
+        gamma, classification = want
+        market = MarketSpec(gamma=gamma, epsilon=0.05, risk_measure="cvar")
+        result = best_truncated_stop_loss(model, kernel, market)
+        exact = dinkelbach_optimize(model, kernel, market)
+        assert result.classification == classification
+        assert result.valuation.ratio <= exact.valuation.ratio + 1e-9
+        assert result.valuation.ratio == pytest.approx(exact.valuation.ratio, abs=1e-6)
+
 
 class TestDinkelbach:
     def test_baseline_single_layer(self):
@@ -320,8 +337,16 @@ def _sign_mismatches(schedule, mu, model, kernel, market, n=10_000):
 
 @st.composite
 def _lagrange_instances(draw):
-    family = draw(st.sampled_from(["exponential", "lognormal", "gamma", "pareto"]))
-    if family == "exponential":
+    family = draw(st.sampled_from(["exponential", "lognormal", "gamma", "pareto", "empirical"]))
+    if family == "empirical":
+        # piecewise-linear cdf with kinks, an exponential tail and an optional atom at zero
+        widths = draw(st.lists(st.floats(0.2, 2.0), min_size=2, max_size=4))
+        xs = np.concatenate([[0.0], np.cumsum(widths)])
+        atom = draw(st.sampled_from([0.0, draw(st.floats(0.05, 0.3))]))
+        steps = np.cumsum(draw(st.lists(st.floats(0.2, 1.0), min_size=len(widths), max_size=len(widths))))
+        ps = atom + (draw(st.floats(0.8, 0.99)) - atom) * steps / steps[-1]
+        model = EmpiricalTable(tuple(xs), (atom,) + tuple(ps))
+    elif family == "exponential":
         model = Exponential(draw(st.floats(0.5, 2.0)))
     elif family == "lognormal":
         model = Lognormal.from_mean(1.0, draw(st.floats(0.3, 1.5)))

@@ -7,6 +7,7 @@ import pytest
 
 from layeropt import (
     CVAR,
+    EmpiricalTable,
     Exponential,
     IndemnitySchedule,
     MarketSpec,
@@ -110,16 +111,22 @@ class TestRetainedRisk:
 
 class TestRiskLedger:
     @pytest.mark.parametrize("market", [VAR_MARKET, CVAR_MARKET])
-    def test_broadcast_matches_single_layers(self, market):
+    @pytest.mark.parametrize("model", [
+        MODEL,
+        # kinks, an atom at zero and an exponential tail beyond the last row
+        EmpiricalTable((0.0, 0.5, 2.0, 5.0), (0.1, 0.4, 0.8, 0.97)),
+    ])
+    def test_broadcast_matches_single_layers(self, model, market):
+        x_eps = model.var_level(market.epsilon)
         a = np.array([0.2, 1.0, 2.5, 3.2])
-        b = np.array([0.5, 2.0, X_EPS, 4.0, math.inf])
-        floor, relief = risk_ledger(MODEL, market, a[:, None], b[None, :])
-        assert floor == retained_risk(MODEL, zero_schedule(), market)
+        b = np.array([0.5, 2.0, x_eps, x_eps + 1.0, math.inf])
+        floor, relief = risk_ledger(model, market, a[:, None], b[None, :])
+        assert floor == retained_risk(model, zero_schedule(), market)
         assert relief.shape == (4, 5)
         for i, lo in enumerate(a):
             for j, hi in enumerate(b):
                 if hi > lo:
-                    want = floor - retained_risk(MODEL, truncated_stop_loss(lo, hi), market)
+                    want = floor - retained_risk(model, truncated_stop_loss(lo, hi), market)
                     assert relief[i, j] == pytest.approx(want, abs=1e-12)
 
 
