@@ -1,5 +1,6 @@
 """Reinsurance layer pricing and profit-over-risk optimization."""
 
+from ._integrate import UnpurchasableCoverError
 from .conditions import (
     AsymptoticRow,
     BalanceScanReport,
@@ -71,7 +72,7 @@ __all__ = [
     "ConditionReport", "DegenerateTailError", "DistortionCurve", "EmpiricalTable", "Exponential",
     "Gamma", "IndemnitySchedule", "InfiniteMeanError", "Layer", "Lognormal", "MarketSpec",
     "NonpositiveRiskError", "OptimResult", "Pareto", "PortfolioNormal", "PowerDistortion",
-    "PricingKernel", "QuadraticCurve", "VAR", "Valuation", "ViolationInstance",
+    "PricingKernel", "QuadraticCurve", "UnpurchasableCoverError", "VAR", "Valuation", "ViolationInstance",
     "ViolationSearchSpec", "asymptotic_profit_gaps", "attachment_balance",
     "balance_concavity_scan", "best_truncated_stop_loss", "check_conditions", "criterion",
     "critical_attachment", "dinkelbach_optimize", "discrete_bruteforce_oracle",

@@ -59,7 +59,7 @@ def check_conditions(model, kernel: PricingKernel, market: MarketSpec, *, tol: f
     """Evaluate all four hypotheses with signed margins and predict the shape."""
     x_eps = model.var_level(market.epsilon)
     tail_lhs = kernel.k0_prime_at_zero * float(model.tail_integral(x_eps))
-    tail_rhs = curve_cost(model, kernel.k0, 0.0, x_eps, tol=tol)
+    tail_rhs = curve_cost(model, kernel.base, 0.0, x_eps, tol=tol)
     solvency_value = market.gamma * model.mean - kernel_cost(model, kernel, 0.0, x_eps, tol=tol)
     loading_margin = kernel.gamma_r - market.gamma
     quantile_margin = x_eps - model.mean
@@ -265,10 +265,9 @@ def find_tail_condition_violation(search: ViolationSearchSpec = ViolationSearchS
     for shape, c, eps in product(search.pareto_shapes, search.kernel_cs, search.epsilons):
         model = Pareto.with_mean(shape, 1.0)
         base = QuadraticCurve(c)
-        probe = PricingKernel(base, 0.0)
         x_eps = model.var_level(eps)
         tail_lhs = c * float(model.tail_integral(x_eps))
-        tail_rhs = curve_cost(model, probe.k0, 0.0, x_eps, tol=1e-13)
+        tail_rhs = curve_cost(model, base, 0.0, x_eps, tol=1e-13)
         if tail_lhs <= tail_rhs:
             continue
         g_hi = base.gamma_upper()

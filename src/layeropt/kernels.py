@@ -5,6 +5,12 @@ K(u) = (1 + gamma_r) * K0(u) + gamma_r * (1 - u), where K0 is a normalized
 concave curve with K0(0) = K0(1) = 0 and gamma_r = K(0) is the flat loading.
 K0 either comes from the quadratic family c*(u - u^2) or is induced by a
 concave distortion g via K0(u) = g(1 - u) - (1 - u).
+
+Far in a loss tail u = F(x) rounds to 1, so every curve also gives its value
+at survival level s = 1 - u directly (``survival_value``), the leading
+power p of that value as s -> 0 (``survival_exponent``: unbounded cover on a
+tail of index alpha has a finite price iff alpha * p > 1) and the survival
+levels where it is not smooth (``survival_knots``).
 """
 
 from __future__ import annotations
@@ -37,6 +43,16 @@ class Distortion(ABC):
     def slope_at_one(self) -> float:
         """Left derivative of g at s = 1; fixes the induced curve's slope at zero."""
 
+    @property
+    @abstractmethod
+    def survival_exponent(self) -> float:
+        """p with g(s) - s of order s**p as s -> 0."""
+
+    @property
+    def survival_knots(self) -> tuple[float, ...]:
+        """Levels s in (0, 1) where g is not smooth."""
+        return ()
+
 
 @dataclass(frozen=True)
 class PowerDistortion(Distortion):
@@ -53,6 +69,10 @@ class PowerDistortion(Distortion):
 
     def slope_at_one(self) -> float:
         return self.exponent
+
+    @property
+    def survival_exponent(self) -> float:
+        return min(self.exponent, 1.0)
 
 
 @dataclass(frozen=True)
@@ -71,6 +91,14 @@ class CappedLinearDistortion(Distortion):
     def slope_at_one(self) -> float:
         return 1.0 if self.slope == 1.0 else 0.0
 
+    @property
+    def survival_exponent(self) -> float:
+        return 1.0
+
+    @property
+    def survival_knots(self) -> tuple[float, ...]:
+        return (1.0 / self.slope,) if self.slope > 1.0 else ()
+
 
 class BaseCurve(ABC):
     """Normalized kernel K0."""
@@ -79,6 +107,20 @@ class BaseCurve(ABC):
 
     @abstractmethod
     def value(self, u): ...
+
+    @abstractmethod
+    def survival_value(self, s):
+        """K0(1 - s), computed without forming u = 1 - s."""
+
+    @property
+    @abstractmethod
+    def survival_exponent(self) -> float:
+        """p with K0(1 - s) of order s**p as s -> 0."""
+
+    @property
+    def survival_knots(self) -> tuple[float, ...]:
+        """Survival levels s in (0, 1) where K0(1 - s) is not smooth."""
+        return ()
 
     @property
     @abstractmethod
@@ -108,6 +150,14 @@ class QuadraticCurve(BaseCurve):
         u = np.asarray(u, dtype=float)
         return _ret(self.c * (u - u * u))
 
+    def survival_value(self, s):
+        s = np.asarray(s, dtype=float)
+        return _ret(self.c * s * (1.0 - s))
+
+    @property
+    def survival_exponent(self) -> float:
+        return 1.0
+
     @property
     def slope_at_zero(self) -> float:
         return self.c
@@ -121,8 +171,19 @@ class DistortionCurve(BaseCurve):
     family = "distortion"
 
     def value(self, u):
-        s = 1.0 - np.asarray(u, dtype=float)
+        return self.survival_value(1.0 - np.asarray(u, dtype=float))
+
+    def survival_value(self, s):
+        s = np.asarray(s, dtype=float)
         return _ret(np.asarray(self.distortion.value(s)) - s)
+
+    @property
+    def survival_exponent(self) -> float:
+        return self.distortion.survival_exponent
+
+    @property
+    def survival_knots(self) -> tuple[float, ...]:
+        return self.distortion.survival_knots
 
     @property
     def slope_at_zero(self) -> float:
@@ -161,6 +222,24 @@ class PricingKernel:
         """Loaded kernel; k(0) = gamma_r and k(1) = 0."""
         u = _validate_unit(u)
         return _ret((1.0 + self.gamma_r) * np.asarray(self.base.value(u)) + self.gamma_r * (1.0 - u))
+
+    def value(self, u):
+        """The loaded kernel as a curve of the level u, as for base curves: ``k(u)``."""
+        return self.k(u)
+
+    def survival_value(self, s):
+        """Loaded kernel at survival level s, K(1 - s), computed without forming u."""
+        s = _validate_unit(s)
+        return _ret((1.0 + self.gamma_r) * np.asarray(self.base.survival_value(s)) + self.gamma_r * s)
+
+    @property
+    def survival_exponent(self) -> float:
+        # the loading adds gamma_r * s, of order s**1, and no base curve decays faster
+        return self.base.survival_exponent
+
+    @property
+    def survival_knots(self) -> tuple[float, ...]:
+        return self.base.survival_knots
 
     def with_loading(self, gamma_r: float) -> "PricingKernel":
         return PricingKernel(self.base, gamma_r)

@@ -1,10 +1,13 @@
 """Nonnegative loss distributions and the tail functionals used throughout pricing.
 
-Every model exposes the same small surface: ``cdf``, ``quantile``,
-``tail_integral`` (the integral of the survival function from a threshold to
-infinity), ``tail_expectation`` (mean loss given exceedance) and ``rescale``.
-Closed forms are used wherever the family admits them, so golden-value tests
-stay exact; quadrature never enters this module.
+Every model exposes the same small surface: ``cdf``, ``quantile``, the
+survival primitives ``sf`` and ``isf``, ``tail_integral`` (the integral of the
+survival function from a threshold to infinity), ``tail_expectation`` (mean
+loss given exceedance), ``tail_index`` and ``rescale``.  Closed forms are used
+wherever the family admits them, so golden-value tests stay exact; quadrature
+never enters this module.  ``sf`` and ``isf`` work in survival space: they
+keep full relative precision down to survival probabilities near the
+smallest double, where ``1 - cdf`` and ``quantile(1 - s)`` round to nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, ndtr, ndtri
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, ndtr, ndtri
 
 
 class InfiniteMeanError(ValueError):
@@ -69,6 +72,14 @@ class LossModel(ABC):
         """Smallest x with F(x) >= p, for p in (0, 1); vectorized."""
 
     @abstractmethod
+    def sf(self, x):
+        """Survival function S(x) = 1 - F(x), computed without forming F."""
+
+    @abstractmethod
+    def isf(self, s):
+        """Inverse survival function, for s in (0, 1): quantile(1 - s) without forming 1 - s."""
+
+    @abstractmethod
     def tail_integral(self, t):
         """Integral of 1 - F over [t, infinity); equals the mean at t = 0."""
 
@@ -76,8 +87,10 @@ class LossModel(ABC):
     def rescale(self, new_mean: float) -> "LossModel":
         """Same shape, new mean: cdf_new(x) = cdf_old(x * mean / new_mean)."""
 
-    def survival(self, x):
-        return _ret(1.0 - np.asarray(self.cdf(x)))
+    @property
+    def tail_index(self) -> float:
+        """alpha with S(x) of order x**-alpha far out; infinite for tails lighter than any power."""
+        return math.inf
 
     def tail_expectation(self, t):
         """E(X | X >= t) = t + tail_integral(t) / (1 - F(t))."""
@@ -118,6 +131,14 @@ class Exponential(LossModel):
     def quantile(self, p):
         p = _validate_prob(p)
         return _ret(-self.mean_value * np.log1p(-p))
+
+    def sf(self, x):
+        x = _validate_level(x)
+        return _ret(np.exp(-x / self.mean_value))
+
+    def isf(self, s):
+        s = _validate_prob(s)
+        return _ret(-self.mean_value * np.log(s))
 
     def tail_integral(self, t):
         t = _validate_level(t, "t")
@@ -169,6 +190,18 @@ class Pareto(LossModel):
         p = _validate_prob(p)
         return _ret(self.scale * (1.0 - p) ** (-1.0 / self.shape))
 
+    def sf(self, x):
+        x = _validate_level(x)
+        return _ret((self.scale / np.maximum(x, self.scale)) ** self.shape)
+
+    def isf(self, s):
+        s = _validate_prob(s)
+        return _ret(self.scale * s ** (-1.0 / self.shape))
+
+    @property
+    def tail_index(self) -> float:
+        return self.shape
+
     def tail_integral(self, t):
         t = _validate_level(t, "t")
         over = self.scale**self.shape * np.maximum(t, self.scale) ** (1.0 - self.shape)
@@ -212,6 +245,16 @@ class Lognormal(LossModel):
         p = _validate_prob(p)
         return _ret(np.exp(self.mu + self.sigma * ndtri(p)))
 
+    def sf(self, x):
+        x = _validate_level(x)
+        with np.errstate(divide="ignore"):
+            z = (np.log(np.maximum(x, 1e-300)) - self.mu) / self.sigma
+        return _ret(np.where(x <= 0.0, 1.0, ndtr(-z)))
+
+    def isf(self, s):
+        s = _validate_prob(s)
+        return _ret(np.exp(self.mu - self.sigma * ndtri(s)))
+
     def tail_integral(self, t):
         # E(X - t)+ via the standard lognormal partial-moment identity
         t = _validate_level(t, "t")
@@ -254,6 +297,14 @@ class Gamma(LossModel):
     def quantile(self, p):
         p = _validate_prob(p)
         return _ret(self.scale * gammaincinv(self.shape, p))
+
+    def sf(self, x):
+        x = _validate_level(x)
+        return _ret(gammaincc(self.shape, x / self.scale))
+
+    def isf(self, s):
+        s = _validate_prob(s)
+        return _ret(self.scale * gammainccinv(self.shape, s))
 
     def tail_integral(self, t):
         # E[X; X > t] = mean * (1 - F_{shape+1}(t)), then subtract t * survival
@@ -354,6 +405,24 @@ class EmpiricalTable(LossModel):
             out = np.where(p > self.ps[-1], tail, out)
         return _ret(out)
 
+    def sf(self, x):
+        x = _validate_level(x)
+        # below a first knot at x > 0 the interpolation holds its probability, 0
+        out = 1.0 - np.interp(x, self.xs, self.ps)
+        if self.ps[-1] < 1.0:
+            tail = (1.0 - self.ps[-1]) * np.exp(-self._tail_hazard * (x - self.xs[-1]))
+            out = np.where(x > self.xs[-1], tail, out)
+        return _ret(out)
+
+    def isf(self, s):
+        s = _validate_prob(s)
+        surv = 1.0 - np.asarray(self.ps)
+        out = np.interp(s, surv[::-1], self.xs[::-1])
+        if self.ps[-1] < 1.0:
+            tail = self.xs[-1] + np.log(surv[-1] / s) / self._tail_hazard
+            out = np.where(s < surv[-1], tail, out)
+        return _ret(out)
+
     def _segment_tail_area(self):
         # integral of 1 - F over each [x_i, x_{i+1}], plus the closing tail
         xs, ps = np.asarray(self.xs), np.asarray(self.ps)
@@ -436,6 +505,14 @@ class PortfolioNormal(LossModel):
         p = _validate_prob(p)
         p_full = p * self._keep + ndtr(self._z0)
         return _ret(self.location + self.spread * ndtri(p_full))
+
+    def sf(self, x):
+        x = _validate_level(x)
+        return _ret(ndtr((self.location - x) / self.spread) / self._keep)
+
+    def isf(self, s):
+        s = _validate_prob(s)
+        return _ret(self.location - self.spread * ndtri(s * self._keep))
 
     def tail_integral(self, t):
         # E(X - t)+ of the untruncated normal, scaled by the kept mass

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._integrate import bisect_root, cumulative_kernel_cost, kernel_cost
+from ._integrate import bisect_root, cumulative_kernel_cost, kernel_cost, purchasable
 from .contracts import (
     IndemnitySchedule,
     Layer,
@@ -195,8 +195,11 @@ def best_truncated_stop_loss(
     """Maximize the ratio over single layers by coarse grid plus local refinement.
 
     The grid covers attachments up to the VaR level and detachments beyond it
-    (including an unbounded-detachment column); the winning cell is refined
-    by a zoomed grid and coordinate-wise bounded searches to ``tol``.
+    (including an unbounded-detachment column when unbounded cover is
+    purchasable); the winning cell is refined by a zoomed grid and
+    coordinate-wise bounded searches to ``tol``.  Under CVaR a layer reaching
+    the VaR level then takes the first-order detachment of its ratio, which
+    may lie past the grid, alternating with the attachment search.
     """
     market0 = replace(market, beta=0.0)
     eps = market0.epsilon
@@ -204,6 +207,7 @@ def best_truncated_stop_loss(
     gain = market0.gamma * model.mean
     floor = risk_ledger(model, market0, 0.0, 0.0)[0]
     b_max = max(2.0 * x_eps, float(model.quantile(1.0 - eps / 10.0)))
+    unbounded = purchasable(model, kernel)
 
     def ratio_grid(a_vals, b_vals, include_inf: bool):
         pts = np.unique(
@@ -216,10 +220,7 @@ def best_truncated_stop_loss(
         ib = np.searchsorted(pts, b_vals)
         cost = cum[ib][None, :] - cum[ia][:, None]
         if include_inf:
-            try:
-                tail_cost = kernel_cost(model, kernel, pts[-1], math.inf, tol=1e-12)
-            except ValueError:
-                tail_cost = math.inf  # unbounded cover is not purchasable
+            tail_cost = kernel_cost(model, kernel, pts[-1], math.inf, tol=1e-12)
             cost_inf = (cum[-1] + tail_cost) - cum[ia]
             cost = np.concatenate([cost, cost_inf[:, None]], axis=1)
             b_all = np.concatenate([b_vals, [math.inf]])
@@ -240,6 +241,8 @@ def best_truncated_stop_loss(
         if not b > a + 1e-12:
             return -math.inf
         if math.isinf(b):
+            if not unbounded:
+                return -math.inf
             cost = kernel_cost(model, kernel, a, b, tol=1e-12)
         else:
             grid = np.unique(np.concatenate(
@@ -255,18 +258,13 @@ def best_truncated_stop_loss(
 
     a_vals = np.linspace(0.0, x_eps, grid_size)
     b_vals = np.unique(np.concatenate([np.linspace(x_eps / grid_size, b_max, grid_size), [x_eps]]))
-    ratios, b_all = ratio_grid(a_vals, b_vals, include_inf=True)
+    ratios, b_all = ratio_grid(a_vals, b_vals, include_inf=unbounded)
     i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     a_best, b_best = float(a_vals[i]), float(b_all[j])
     da = float(a_vals[1] - a_vals[0])
 
     if math.isinf(b_best):
-        best_val = panel_ratio(a_best, math.inf)
-        res = minimize_scalar(lambda a: -panel_ratio(a, math.inf),
-                              bounds=(max(0.0, a_best - da), min(x_eps, a_best + da)),
-                              method="bounded", options={"xatol": tol * 1e-2, "maxiter": 100})
-        if -res.fun >= best_val:
-            a_best, best_val = float(res.x), -res.fun
+        best_val = panel_ratio(a_best, b_best)  # only CVaR can prefer inf; the loop below refines it
     else:
         db = float(b_vals[1] - b_vals[0]) if len(b_vals) > 1 else da
         for step_a, step_b, n_pts in ((da, db, 65), (da / 16.0, db / 16.0, 33)):
@@ -287,6 +285,25 @@ def best_truncated_stop_loss(
                               method="bounded", options={"xatol": tol * 1e-2, "maxiter": 100})
         if -res.fun >= best_val:
             b_best, best_val = float(res.x), -res.fun
+
+    if market0.risk_measure == CVAR and b_best >= x_eps:
+        # Above the VaR level the best detachment for a ratio mu solves
+        # K(F(b)) = mu S(b) / eps; alternating that detachment with the
+        # attachment search climbs to the optimum even where it detaches past
+        # the grid's last column, or finitely where the grid chose inf.
+        for _ in range(20):
+            if best_val > kernel.k(1.0 - eps):
+                u_stop = _cvar_detachment(kernel, best_val, eps)
+                b_new = math.inf if u_stop is None else float(model.quantile(u_stop))
+            else:
+                b_new = x_eps
+            res = minimize_scalar(lambda a: -panel_ratio(a, b_new),
+                                  bounds=(max(0.0, a_best - da), min(x_eps, a_best + da)),
+                                  method="bounded", options={"xatol": tol * 1e-2, "maxiter": 100})
+            val, a_new = max((panel_ratio(a_best, b_new), a_best), (-res.fun, float(res.x)))
+            if not val > best_val:
+                break
+            a_best, b_best, best_val = a_new, b_new, val
 
     # a layer that does not beat no cession is a degenerate sliver of the search
     if not best_val > gain / floor:

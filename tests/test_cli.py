@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from layeropt import cli
 from layeropt.cli import ConfigError, main, parse_config, run
 
 BASELINE_CONFIG = """
@@ -233,10 +234,18 @@ def test_baseline_csv_matches_golden_bytes(tmp_path, capsys, measure, command):
     assert out.read_bytes() == (GOLDEN / f"baseline_{measure}_{command}.csv").read_bytes()
 
 
-def test_sweep_marks_failed_cells_and_writes_every_row(tmp_path, capsys):
-    """Cells whose solve raises (here the unbounded-tail quadrature on a
-    Pareto(2) tail) are marked, the other cells are still solved, and the
-    exit status still reports the failure."""
+def test_sweep_marks_failed_cells_and_writes_every_row(tmp_path, capsys, monkeypatch):
+    """Cells whose solve raises (here a failure injected into the solver on
+    the cells with gamma_r >= 0.3) are marked, the other cells are still
+    solved, and the exit status still reports the failure."""
+    solve = cli.dinkelbach_optimize
+
+    def failing_on_high_loadings(model, kernel, market, **kwargs):
+        if kernel.gamma_r >= 0.3:
+            raise ValueError("injected solver failure")
+        return solve(model, kernel, market, **kwargs)
+
+    monkeypatch.setattr(cli, "dinkelbach_optimize", failing_on_high_loadings)
     path = tmp_path / "cfg.ini"
     path.write_text(PARETO_CVAR_SWEEP)
     out = tmp_path / "sweep.csv"
@@ -246,6 +255,7 @@ def test_sweep_marks_failed_cells_and_writes_every_row(tmp_path, capsys):
     assert len(rows) == 48
     failed = [r for r in rows if r["realized_classification"] == "aborted-solver-error"]
     assert failed
+    assert all(float(r["gamma_r"]) >= 0.3 for r in failed)
     for row in failed:
         assert row["realized_layer_count"] == ""
         assert row["predicted_shape"] != ""
@@ -254,3 +264,44 @@ def test_sweep_marks_failed_cells_and_writes_every_row(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"solver error in {len(failed)} of 48 sweep cells; first: ")
+
+
+def test_pareto2_cvar_sweep_solves_every_cell(tmp_path):
+    # every cell prices unbounded CVaR layers on a Pareto(2) tail
+    path = tmp_path / "cfg.ini"
+    path.write_text(PARETO_CVAR_SWEEP)
+    out = tmp_path / "sweep.csv"
+    assert main(["--config", str(path), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 48
+    assert all(r["realized_classification"] in {"no-cession", "single-layer", "multi-layer"} for r in rows)
+
+
+def test_evaluate_unbounded_layer_on_pareto_tail(tmp_path):
+    # Pareto(2) with mean 1 has S(x) = (1/2x)^2 above x = 1/2; the loaded
+    # quadratic kernel is K(1 - s) = 0.65 s - 0.55 s^2, so [1, inf) costs
+    # 0.65/4 - 0.55/48, and the VaR level 0.5/sqrt(0.05) leaves retained VaR 1
+    text = PARETO_CVAR_SWEEP.replace("risk_measure = cvar", "risk_measure = var")
+    text = text.replace("command = sweep", "command = evaluate") + "\n[contract]\nlayers = [[1.0, inf]]\n"
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(path), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    cost = 0.65 / 4.0 - 0.55 / 48.0
+    assert float(row["surplus"]) == pytest.approx(cost, rel=1e-12)
+    assert float(row["risk"]) == pytest.approx(1.0, rel=1e-12)
+    assert float(row["ratio"]) == pytest.approx(0.1 - cost, rel=1e-12)
+
+
+def test_evaluate_unpurchasable_unbounded_layer_exits_three(tmp_path, capsys):
+    # Pareto(1.2) with the power kernel s**0.8: 1.2 * 0.8 <= 1, infinite price
+    text = PARETO_CVAR_SWEEP.replace("shape = 2.0", "shape = 1.2")
+    text = text.replace("family = quadratic\nc = 0.5", "family = power\nr = 0.8")
+    text = text.replace("command = sweep", "command = evaluate") + "\n[contract]\nlayers = [[1.0, inf]]\n"
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    assert main(["--config", str(path)]) == 3
+    assert "not purchasable" in capsys.readouterr().err

@@ -126,3 +126,41 @@ def test_kernel_validation_rejects_negative_loading():
 
 def test_distortion_curve_family_label():
     assert DistortionCurve(PowerDistortion(0.5)).family == "distortion"
+
+
+KERNELS = [
+    BASELINE,
+    quadratic_kernel(1.0, 0.0),
+    from_distortion(PowerDistortion(0.6), 0.2),
+    from_distortion(CappedLinearDistortion(3.0), 0.1),
+]
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.base.family)
+def test_survival_value_is_the_kernel_at_the_complement(kernel):
+    s = np.linspace(0.0, 1.0, 101)
+    np.testing.assert_allclose(np.asarray(kernel.survival_value(s)), np.asarray(kernel.k(1.0 - s)), atol=1e-15)
+    np.testing.assert_allclose(
+        np.asarray(kernel.base.survival_value(s)), np.asarray(kernel.k0(1.0 - s)), atol=1e-15
+    )
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.base.family)
+def test_survival_exponent_is_the_leading_power(kernel):
+    # K(1 - s) / s**p tends to a positive finite limit as s -> 0
+    p = kernel.survival_exponent
+    s = np.array([1e-60, 1e-80])
+    lead = np.asarray(kernel.survival_value(s)) / s**p
+    assert np.all(lead > 0.0) and lead[1] == pytest.approx(lead[0], rel=1e-9)
+
+
+def test_survival_value_keeps_precision_where_u_rounds_to_one():
+    s = 1e-20
+    assert BASELINE.survival_value(s) == pytest.approx(0.65 * s, rel=1e-15)
+    assert BASELINE.k(1.0 - s) == 0.0  # the level u = 1 - s has rounded to 1
+
+
+def test_capped_linear_survival_knot():
+    assert from_distortion(CappedLinearDistortion(4.0), 0.0).survival_knots == (0.25,)
+    assert from_distortion(CappedLinearDistortion(1.0), 0.0).survival_knots == ()
+    assert BASELINE.survival_knots == ()

@@ -188,6 +188,34 @@ class TestFamilyInvariants:
             np.asarray(scaled.cdf(2.0 * xs)), np.asarray(model.cdf(xs)), atol=1e-10
         )
 
+    def test_sf_is_one_minus_cdf(self, model):
+        xs = np.linspace(0.0, float(model.quantile(0.999)), 500)
+        np.testing.assert_allclose(np.asarray(model.sf(xs)), 1.0 - np.asarray(model.cdf(xs)), rtol=0, atol=1e-14)
+
+    def test_isf_is_quantile_of_the_complement(self, model):
+        s = np.linspace(0.001, 0.999, 500)
+        scale = max(1.0, float(model.quantile(0.999)))
+        np.testing.assert_allclose(np.asarray(model.isf(s)), np.asarray(model.quantile(1.0 - s)), rtol=0, atol=1e-9 * scale)
+
+
+# models whose support is unbounded above, so S stays positive however far out
+UNBOUNDED_MODELS = [m for m in ALL_MODELS if not (m.family == "empirical-table" and m.ps[-1] >= 1.0)]
+
+
+@pytest.mark.parametrize("model", UNBOUNDED_MODELS, ids=lambda m: f"{m.family}")
+def test_survival_round_trips_down_to_1e_300(model):
+    s = 10.0 ** -np.arange(1.0, 301.0)
+    x = np.asarray(model.isf(s))
+    assert np.all(np.isfinite(x)) and np.all(np.diff(x) > 0.0)
+    np.testing.assert_allclose(np.asarray(model.sf(x)), s, rtol=1e-12)
+    np.testing.assert_allclose(np.asarray(model.isf(model.sf(x))), x, rtol=1e-12)
+
+
+def test_tail_index():
+    assert Pareto.with_mean(1.7, 1.0).tail_index == 1.7
+    for light in (Exponential(1.0), Lognormal.from_mean(1.0, 2.0), Gamma(0.5, 1.0), portfolio_normal_model(4, 1.0, 1.0)):
+        assert light.tail_index == math.inf
+
 
 def test_rescale_identity_is_identity():
     m = Exponential(1.0)

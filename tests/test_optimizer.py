@@ -215,6 +215,32 @@ class TestBestTruncatedStopLoss:
         assert result.valuation.ratio <= exact.valuation.ratio + 1e-9
         assert result.valuation.ratio == pytest.approx(exact.valuation.ratio, abs=1e-6)
 
+    def test_matches_dinkelbach_single_layers_on_criterion2_draw(self, hypothesis_instances):
+        # wherever Dinkelbach's optimum is one layer, the stop-loss search finds it,
+        # including CVaR optima detaching past its grid (instances 3 and 33)
+        misses = []
+        for i, (model, kernel, market) in enumerate(hypothesis_instances):
+            for measure in ("var", "cvar"):
+                m = MarketSpec(gamma=market.gamma, epsilon=market.epsilon, risk_measure=measure)
+                exact = dinkelbach_optimize(model, kernel, m)
+                if exact.layer_count != 1:
+                    continue
+                got = best_truncated_stop_loss(model, kernel, m).valuation.ratio
+                want = exact.valuation.ratio
+                if abs(got - want) > 1e-7 * abs(want):
+                    misses.append((i, measure, got, want))
+        assert misses == []
+
+    def test_skips_unbounded_column_that_is_not_purchasable(self):
+        # Pareto(1.2) tail with s**0.8: every unbounded layer has infinite cost
+        model = Pareto.with_mean(1.2, 1.0)
+        kernel = from_distortion(PowerDistortion(0.8), 0.1)
+        market = MarketSpec(gamma=0.1, epsilon=0.05, risk_measure="cvar")
+        result = best_truncated_stop_loss(model, kernel, market)
+        exact = dinkelbach_optimize(model, kernel, market)
+        assert all(math.isfinite(l.detachment) for l in result.schedule.layers())
+        assert result.valuation.ratio <= exact.valuation.ratio + 1e-9
+
 
 class TestDinkelbach:
     def test_baseline_single_layer(self):
