@@ -5,12 +5,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
+
+from .losses import _check_positive
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _OCTAVES = 64  # survival octaves per vectorized block of the tail
-_GRADED = 60  # most panels halving toward the start of an unbounded layer
+_GRADED = 30  # most panels quartering toward the start of a layer
 _DEEPEST = 1e-300  # smallest survival level an octave edge may have
+_ROUNDS = 60  # most bisection rounds of a finite layer
+_OPEN = 1024  # most panels a finite layer may still be refining
+_ROUNDING = 2.0**-52  # error, relative to the total, that a finite layer's panels may share
 
 
 class UnpurchasableCoverError(ValueError):
@@ -28,13 +32,26 @@ def purchasable(model, curve) -> bool:
     return model.tail_index * curve.survival_exponent > 1.0
 
 
-def _panel_costs(model, curve, edges) -> np.ndarray:
-    """Integral of K(1 - S(x)) over each panel between consecutive edges (24-node Gauss-Legendre)."""
-    widths = np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
+def _panel_costs(model, curve, lo, hi) -> np.ndarray:
+    """Integral of K(1 - S(x)) over each panel [lo, hi] (24-node Gauss-Legendre)."""
+    widths = hi - lo
+    mids = 0.5 * (lo + hi)
     xs = mids[:, None] + 0.5 * widths[:, None] * _GL_NODES[None, :]
     vals = np.asarray(curve.survival_value(model.sf(xs.ravel()))).reshape(xs.shape)
     return 0.5 * widths * (vals @ _GL_WEIGHTS)
+
+
+def _graded(edges) -> np.ndarray:
+    """Sorted edges plus points quartering the first gap toward a = edges[0], down to a distance of about a.
+
+    A cdf behaving like x**k at the origin is smooth on every graded panel,
+    so it costs no accuracy even at a = 0, where the gap shrinks by 2**-60.
+    """
+    if len(edges) < 2:
+        return edges
+    a, gap = edges[0], edges[1] - edges[0]
+    steps = _GRADED if a <= 0.0 else min(_GRADED, max(0, math.ceil(0.5 * math.log2(gap / a))))
+    return np.unique(np.concatenate([edges, a + gap * np.exp2(-2.0 * np.arange(1.0, steps + 1.0))]))
 
 
 def _octave_edges(model, s_top: float, count: int) -> np.ndarray:
@@ -57,12 +74,11 @@ def _tail_cost(model, curve, a: float) -> float:
     """Integral of K(F(x)) over [a, infinity), in survival space.
 
     Panels end at the survival octaves x_k = isf(S(a) / 2**k), at the model's
-    and the curve's knots, and at points halving the distance from a to the
-    first of those, so that a cdf behaving like x**k at the origin costs no
-    accuracy.  Octaves are added in vectorized blocks until the geometric
-    continuation of the last two pieces is below the rounding of the total,
-    or the octaves reach survival 1e-300, where that continuation is added
-    as the remainder.
+    and the curve's knots, and at points quartering the distance from a to
+    the first of those (``_graded``).  Octaves are added in vectorized
+    blocks until the geometric continuation of the last two pieces is below
+    the rounding of the total, or the octaves reach survival 1e-300, where
+    that continuation is added as the remainder.
     """
     if not purchasable(model, curve):
         raise UnpurchasableCoverError(
@@ -78,13 +94,10 @@ def _tail_cost(model, curve, a: float) -> float:
     # the first block reaches past every knot, so its last pieces are whole octaves
     count = _OCTAVES + (math.ceil(math.log2(s_a / s_knot)) if s_knot > 0.0 else 0)
     octaves = _octave_edges(model, s_a, count)
-    edges = np.unique(np.concatenate([[a], knots, octaves]))
+    edges = _graded(np.unique(np.concatenate([[a], knots, octaves])))
     if len(edges) < 2:
         return 0.0
-    gap = edges[1] - a
-    halvings = _GRADED if a <= 0.0 else min(_GRADED, max(0, math.ceil(math.log2(gap / a))))
-    edges = np.unique(np.concatenate([edges, a + gap * np.exp2(-np.arange(1.0, halvings + 1.0))]))
-    pieces = _panel_costs(model, curve, edges)
+    pieces = _panel_costs(model, curve, edges[:-1], edges[1:])
     total = math.fsum(pieces)
     x_last, s_last = edges[-1], s_a * 2.0 ** -len(octaves)
     while True:
@@ -97,35 +110,69 @@ def _tail_cost(model, curve, a: float) -> float:
                 raise ValueError("kernel cost integral does not converge on the tail")
             return total + rest
         # keep the previous block's last piece: a short block may hold a single piece
-        pieces = np.concatenate([pieces[-1:], _panel_costs(model, curve, np.concatenate([[x_last], more]))])
+        pieces = np.concatenate([pieces[-1:], _panel_costs(model, curve, np.concatenate([[x_last], more[:-1]]), more)])
         total += math.fsum(pieces[1:])
         x_last, s_last = more[-1], s_last * 2.0 ** -len(more)
+
+
+def _finite_cost(model, curve, a: float, b: float, tol: float) -> float:
+    """Integral of K(1 - S(x)) over a finite [a, b] by vectorized adaptive bisection.
+
+    Panels start at a, b, the model's knots, the curve's knots mapped to x
+    (such as the capped-linear kink) and points quartering the first panel
+    toward a (``_graded``).  Each round prices every open panel and its two
+    halves in one call.  A panel is accepted, at the sum of its halves, when
+    that sum agrees with the whole to within the panel's share (by width) of
+    ``tol`` or of the rounding of the total; only the others are halved again.
+    After ``_ROUNDS`` rounds, or once more than ``_OPEN`` panels would be
+    open, every open panel is accepted as it stands, so no input can make
+    the work grow without bound.
+    """
+    s_a, s_b = float(model.sf(a)), float(model.sf(b))
+    knots = [t for t in model.cdf_knots if a < t < b]
+    knots += [float(model.isf(s)) for s in curve.survival_knots if s_b < s < s_a]
+    edges = _graded(np.unique(np.concatenate([[a, b], np.clip(knots, a, b)])))
+    lo, hi = edges[:-1], edges[1:]
+    share = None
+    accepted = []
+    for last in range(_ROUNDS, 0, -1):
+        mid = 0.5 * (lo + hi)
+        costs = _panel_costs(model, curve, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+        whole, left, right = np.split(costs, 3)
+        halves = left + right
+        if share is None:
+            share = max(tol, _ROUNDING * abs(math.fsum(halves))) / (b - a)
+        done = np.abs(halves - whole) <= share * (hi - lo)
+        if last == 1 or 2 * np.count_nonzero(~done) > _OPEN:
+            done[:] = True
+        accepted.append(halves[done])
+        if done.all():
+            return math.fsum(np.concatenate(accepted))
+        keep = ~done
+        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
 
 
 def curve_cost(model, curve, a: float, b: float, *, tol: float = 1e-10) -> float:
     """Integral of K(F(x)) over [a, b] for a curve K; ``b`` may be infinite.
 
-    ``curve`` is a base curve or a loaded kernel: anything with ``value(u)``,
-    ``survival_value(s)``, ``survival_exponent`` and ``survival_knots``.  A
-    finite interval is integrated adaptively to ``tol`` with the cdf's
-    non-smooth points as split points.  An unbounded one is integrated in
-    survival space, K(1 - S(x)) with S from ``model.sf``, over fixed 24-node
-    Gauss-Legendre panels between survival octaves plus a geometric
-    remainder (see ``_tail_cost``); it ignores ``tol`` and is accurate to a
-    few units of rounding.  Raises ``UnpurchasableCoverError`` when that
-    integral diverges (``purchasable``).
+    ``curve`` is a base curve or a loaded kernel: anything with
+    ``survival_value(s)``, ``survival_exponent`` and ``survival_knots``.  The
+    integrand is K(1 - S(x)) with S from ``model.sf``, priced on 24-node
+    Gauss-Legendre panels.  A finite interval is bisected adaptively until
+    every panel is accurate to rounding or to its share of the absolute
+    tolerance ``tol`` (see ``_finite_cost``).  An unbounded one takes fixed
+    panels between survival octaves plus a geometric remainder (see
+    ``_tail_cost``); it needs no ``tol`` and is accurate to a few units of
+    rounding.  Raises ``ValueError`` unless ``tol`` is positive and finite,
+    and ``UnpurchasableCoverError`` when an unbounded integral diverges
+    (``purchasable``).
     """
+    _check_positive(tol, "quadrature tolerance")
     if b <= a:
         return 0.0
     if math.isinf(b):
         return _tail_cost(model, curve, a)
-
-    def integrand(x):
-        return curve.value(model.cdf(x))
-
-    knots = [t for t in model.cdf_knots if a < t < b]
-    value, _ = quad(integrand, a, b, epsabs=tol, limit=200, points=knots or None)
-    return value
+    return _finite_cost(model, curve, a, b, tol)
 
 
 def kernel_cost(model, kernel, a: float, b: float, *, tol: float = 1e-10) -> float:
@@ -136,12 +183,13 @@ def kernel_cost(model, kernel, a: float, b: float, *, tol: float = 1e-10) -> flo
 def cumulative_kernel_cost(model, kernel, grid) -> np.ndarray:
     """Cumulative integral of K(F(x)) along a sorted grid (knots must be in it).
 
-    Uses fixed 24-node Gauss-Legendre panels between consecutive grid points:
-    exact to machine precision for the smooth integrands that arise here, and
-    fully vectorized so big contract sweeps stay cheap.
+    One fixed 24-node Gauss-Legendre panel of the engine behind ``curve_cost``
+    per grid step, with no bisection: exact to rounding for the smooth
+    integrands between a dense grid's points, and a single vectorized call
+    however large the grid.
     """
-    panel = _panel_costs(model, kernel, np.asarray(grid, dtype=float))
-    return np.concatenate([[0.0], np.cumsum(panel)])
+    grid = np.asarray(grid, dtype=float)
+    return np.concatenate([[0.0], np.cumsum(_panel_costs(model, kernel, grid[:-1], grid[1:]))])
 
 
 def bisect_root(func, lo: float, hi: float, *, xtol: float = 1e-12, max_iter: int = 200) -> float:

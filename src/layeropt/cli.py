@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from .conditions import asymptotic_profit_gaps, check_conditions
 from .contracts import IndemnitySchedule, Layer, schedule_from_layers
 from .kernels import CappedLinearDistortion, PowerDistortion, PricingKernel, QuadraticCurve, from_distortion
-from .losses import EmpiricalTable, Exponential, Gamma, Lognormal, Pareto
+from .losses import EmpiricalTable, Exponential, Gamma, Lognormal, Pareto, _check_positive
 from .optimizer import dinkelbach_optimize
 from .valuation import MarketSpec, NonpositiveRiskError, criterion
 
@@ -49,6 +49,16 @@ class RunConfig:
     asym_unit_sd: float
     tol_quad: float
     tol_root: float
+
+
+def _tolerance(raw, name: str) -> float:
+    """A tolerance from the config or the command line: a positive finite number."""
+    try:
+        value = float(raw)
+        _check_positive(value, name)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    return value
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -221,8 +231,8 @@ def parse_config(text: str) -> RunConfig:
         asym_n=asym_n,
         asym_unit_mean=asym_um,
         asym_unit_sd=asym_us,
-        tol_quad=float(run.get("tol_quad", 1e-10)),
-        tol_root=float(run.get("tol_root", 1e-9)),
+        tol_quad=_tolerance(run.get("tol_quad", 1e-10), "[run] tol_quad"),
+        tol_root=_tolerance(run.get("tol_root", 1e-9), "[run] tol_root"),
     )
 
 
@@ -362,10 +372,10 @@ def main(argv=None) -> int:
             config = replace(config, command=args.command)
         if args.out:
             config = replace(config, out_path=args.out)
-        if args.tol_quad:
-            config = replace(config, tol_quad=args.tol_quad)
-        if args.tol_root:
-            config = replace(config, tol_root=args.tol_root)
+        if args.tol_quad is not None:
+            config = replace(config, tol_quad=_tolerance(args.tol_quad, "--tol-quad"))
+        if args.tol_root is not None:
+            config = replace(config, tol_root=_tolerance(args.tol_root, "--tol-root"))
         _validate_command(config)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

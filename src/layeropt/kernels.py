@@ -223,10 +223,6 @@ class PricingKernel:
         u = _validate_unit(u)
         return _ret((1.0 + self.gamma_r) * np.asarray(self.base.value(u)) + self.gamma_r * (1.0 - u))
 
-    def value(self, u):
-        """The loaded kernel as a curve of the level u, as for base curves: ``k(u)``."""
-        return self.k(u)
-
     def survival_value(self, s):
         """Loaded kernel at survival level s, K(1 - s), computed without forming u."""
         s = _validate_unit(s)

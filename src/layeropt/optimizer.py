@@ -26,6 +26,7 @@ from .contracts import (
     truncated_stop_loss,
     zero_schedule,
 )
+from .losses import _check_positive
 from .valuation import CVAR, MarketSpec, NonpositiveRiskError, Valuation, criterion, expected_profit, risk_ledger
 
 _WIDTH_TOL = 1e-12
@@ -236,8 +237,7 @@ def best_truncated_stop_loss(
         return ratios, b_all
 
     def panel_ratio(a: float, b: float) -> float:
-        # fixed Gauss-Legendre panels: machine accurate for the smooth
-        # integrands here and far cheaper than adaptive quadrature
+        # fixed Gauss-Legendre panels: machine accurate for the smooth integrands here
         if not b > a + 1e-12:
             return -math.inf
         if math.isinf(b):
@@ -327,8 +327,9 @@ def dinkelbach_optimize(
 
     The cost-of-capital coefficient shifts every ratio by the same constant,
     so the search runs with it removed and only the reported valuation
-    reflects it.
+    reflects it.  Raises ``ValueError`` unless ``tol`` is positive and finite.
     """
+    _check_positive(tol, "multiplier tolerance")
     market0 = replace(market, beta=0.0)
     floor = criterion(model, kernel, zero_schedule(), market0).ratio
     mu = floor if mu0 is None else float(mu0)

@@ -223,6 +223,34 @@ class TestMain:
         assert main(["--config", str(path), "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("flag", ["--tol-quad", "--tol-root"])
+def test_exit_two_on_tolerance_override_that_is_not_positive_and_finite(tmp_path, capsys, flag, value):
+    path = tmp_path / "cfg.ini"
+    path.write_text(_with("optimize"))
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(path), "--out", str(out), f"{flag}={value}"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-10", "nan", "inf", "tight"])
+@pytest.mark.parametrize("key", ["tol_quad", "tol_root"])
+def test_tolerance_in_config_must_be_positive_and_finite(key, value):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(BASELINE_CONFIG + f"{key} = {value}\n")
+
+
+def test_tolerance_overrides_reach_the_run(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+    path = tmp_path / "cfg.ini"
+    path.write_text(BASELINE_CONFIG + "tol_quad = 1e-8\ntol_root = 1e-7\n")
+    assert main(["--config", str(path)]) == 0
+    assert main(["--config", str(path), "--tol-quad", "1e-12", "--tol-root", "1e-11"]) == 0
+    assert [(c.tol_quad, c.tol_root) for c in seen] == [(1e-8, 1e-7), (1e-12, 1e-11)]
+
+
 @pytest.mark.parametrize("measure", ["var", "cvar"])
 @pytest.mark.parametrize("command", ["check", "evaluate", "optimize", "sweep", "asymptotics"])
 def test_baseline_csv_matches_golden_bytes(tmp_path, capsys, measure, command):

@@ -1,12 +1,17 @@
-"""Tests for the kernel-cost quadrature: unbounded layers against mpmath references."""
+"""Tests for the kernel-cost quadrature: finite and unbounded layers against mpmath references."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from layeropt import (
+    CappedLinearDistortion,
     EmpiricalTable,
     Exponential,
     Gamma,
@@ -21,6 +26,7 @@ from layeropt import (
     quadratic_kernel,
     truncated_stop_loss,
 )
+from layeropt import _integrate
 from layeropt._integrate import curve_cost, purchasable
 
 QUADRATIC = quadratic_kernel(0.5, 0.1)
@@ -78,19 +84,27 @@ def _ref_kernel(kernel):
     if kernel.base.family == "quadratic":
         c = mp.mpf(kernel.base.c)
         return lambda s: (1 + g) * c * s * (1 - s) + g * s
-    r = mp.mpf(kernel.base.distortion.exponent)
+    distortion = kernel.base.distortion
+    if isinstance(distortion, CappedLinearDistortion):
+        slope = mp.mpf(distortion.slope)
+        return lambda s: (1 + g) * (min(slope * s, 1) - s) + g * s
+    r = mp.mpf(distortion.exponent)
     return lambda s: (1 + g) * (s**r - s) + g * s
 
 
 def _ref_tail_cost(model, kernel, a):
     """Integral of K(F(x)) over [a, inf) to 30 digits."""
+    return _ref_cost(model, kernel, a, math.inf)
+
+
+def _ref_cost(model, kernel, a, b, splits=()):
+    """Integral of K(F(x)) over [a, b] to 30 digits; ``splits`` are extra points where K is not smooth."""
     with mp.workdps(30):
-        return _ref_tail_cost_30(model, kernel, a)
+        return _ref_cost_30(model, kernel, mp.mpf(a), mp.mpf(b), [mp.mpf(t) for t in splits])
 
 
-def _ref_tail_cost_30(model, kernel, a):
+def _ref_cost_30(model, kernel, a, b, splits):
     """Closed form for Pareto, else mpmath.quad between knots and geometric breakpoints."""
-    a = mp.mpf(a)
     k_of_s = _ref_kernel(kernel)
     if model.family == "pareto":
         # K(1 - s) is a sum of c_p s**p, and S(x)**p integrates in closed form
@@ -101,13 +115,24 @@ def _ref_tail_cost_30(model, kernel, a):
             terms = [((1 + g) * c + g, 1), (-(1 + g) * c, 2)]
         else:
             terms = [(1 + g, mp.mpf(kernel.base.distortion.exponent)), (mp.mpf(-1), 1)]
-        lo = max(a, theta)
-        flat = (theta - a) * k_of_s(mp.mpf(1)) if a < theta else 0
-        return flat + mp.fsum(c * theta ** (alpha * p) * lo ** (1 - alpha * p) / (alpha * p - 1) for c, p in terms)
+
+        def power(x, q):  # x**q, vanishing at x = inf for q < 0
+            return 0 if mp.isinf(x) else x**q
+
+        lo, hi = max(a, theta), max(b, theta)
+        flat = (min(theta, b) - a) * k_of_s(mp.mpf(1)) if a < theta else 0
+        return flat + mp.fsum(
+            c * theta ** (alpha * p) * (power(lo, 1 - alpha * p) - power(hi, 1 - alpha * p)) / (alpha * p - 1)
+            for c, p in terms
+        )
     sf = _ref_sf(model)
-    knots = [mp.mpf(t) for t in model.cdf_knots if t > a]
-    pts = sorted(set([a] + knots + [a + mp.mpf(4) ** j for j in range(-3, 12)]))
-    return mp.quad(lambda x: k_of_s(sf(x)), pts + [mp.inf])
+    inner = [t for t in [mp.mpf(t) for t in model.cdf_knots] + splits if a < t < b]
+    if mp.isinf(b):
+        inner += [a + mp.mpf(4) ** j for j in range(-3, 12)]
+    else:  # even steps, and geometric ones toward a density singular at the origin
+        inner += [a + (b - a) * mp.mpf(j) / 8 for j in range(1, 8)]
+        inner += [b * mp.mpf(4) ** -j for j in range(2, 10)] if a == 0 else []
+    return mp.quad(lambda x: k_of_s(sf(x)), sorted(set([a, b] + inner)))
 
 
 @pytest.mark.parametrize("kernel", [QUADRATIC, POWER], ids=["quadratic", "power"])
@@ -156,15 +181,27 @@ def test_unbounded_cost_deep_in_the_tail():
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
-def test_unbounded_cost_uses_no_adaptive_quadrature(monkeypatch):
-    import layeropt._integrate as integrate
+ROOT = Path(__file__).resolve().parents[1]
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("adaptive quadrature called for an unbounded layer")
+_NO_SCIPY_INTEGRATE = """
+import sys
+import layeropt
+from layeropt.cli import COMMANDS, main
 
-    monkeypatch.setattr(integrate, "quad", forbidden)
-    for model in TAILS:
-        assert curve_cost(model, QUADRATIC, 0.5, math.inf) > 0.0
+for command in COMMANDS:
+    assert main(["--config", sys.argv[1], "--command", command, "--out", sys.argv[2]]) == 0, command
+loaded = sorted(name for name in sys.modules if name.startswith("scipy.integrate"))
+assert not loaded, loaded
+"""
+
+
+def test_no_command_imports_scipy_integrate(tmp_path):
+    # every CLI command on the baseline config, in one fresh interpreter
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_INTEGRATE, str(ROOT / "demos" / "baseline.ini"), str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_singular_density_at_zero():
@@ -174,3 +211,78 @@ def test_singular_density_at_zero():
     want = _ref_tail_cost(model, QUADRATIC, 0.0)
     assert abs(got - want) <= 1e-13 * abs(want)
     assert np.isfinite(got)
+
+
+def _bands(model):
+    """[0, x_eps], an interior band below it and a band straddling it (x_eps the 95% VaR level)."""
+    level = model.var_level
+    return [(0.0, level(0.05)), (level(0.5), level(0.2)), (level(0.1), level(0.01))]
+
+
+@pytest.mark.parametrize("kernel", [QUADRATIC, POWER], ids=["quadratic", "power"])
+@pytest.mark.parametrize("model", TAILS, ids=lambda m: f"{m.family}-{getattr(m, 'shape', '')}")
+def test_finite_cost_matches_mpmath(model, kernel):
+    for a, b in _bands(model):
+        got = curve_cost(model, kernel, a, b)
+        want = _ref_cost(model, kernel, a, b)
+        assert abs(got - want) <= 1e-13 * abs(want), (a, b, got, float(want))
+
+
+@pytest.mark.parametrize(
+    "model, kernel, a, b",
+    [
+        # a wide band on a small portfolio, with a proportional-hazard kernel
+        (portfolio_normal_model(10, 1.0, 1.0), from_distortion(PowerDistortion(0.6), 0.2), 7.60, 45.6),
+        # a band a few spreads wide around the mean of a large portfolio
+        (portfolio_normal_model(10000, 1.0, 1.0), QUADRATIC, 9950.0, 10164.5),
+        # a cdf behaving like x**0.2 at the origin
+        (Gamma.from_mean(1.0, 0.2), QUADRATIC, 0.0, float(Gamma.from_mean(1.0, 0.2).var_level(0.05))),
+    ],
+    ids=["portfolio-normal-10", "portfolio-normal-10000", "gamma-0.2"],
+)
+def test_finite_cost_on_hard_bands(model, kernel, a, b):
+    got = curve_cost(model, kernel, a, b)
+    want = _ref_cost(model, kernel, a, b)
+    assert abs(got - want) <= 1e-13 * abs(want), (got, float(want))
+
+
+def test_finite_cost_splits_at_the_capped_linear_kink():
+    # g(s) = min(1.5 s, 1) bends at s = 2/3, inside [0, x_eps]
+    model = Exponential(1.0)
+    kernel = from_distortion(CappedLinearDistortion(1.5), 0.1)
+    kink = float(model.isf(1.0 / 1.5))
+    for a, b in ((0.0, model.var_level(0.05)), (0.1, 0.9)):
+        got = curve_cost(model, kernel, a, b)
+        want = _ref_cost(model, kernel, a, b, splits=[kink])
+        assert abs(got - want) <= 1e-13 * abs(want), (a, b, got, float(want))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_rejects_tolerance_that_is_not_positive_and_finite(tol):
+    model = Exponential(1.0)
+    for b in (3.0, math.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            curve_cost(model, QUADRATIC, 1.0, b, tol=tol)
+
+
+class _NoisyCurve:
+    """A curve whose halves never agree with the whole: only the engine's caps stop the bisection."""
+
+    survival_exponent = 1.0
+    survival_knots = ()
+
+    def __init__(self):
+        self.rng = np.random.default_rng(0)
+        self.sizes = []
+
+    def survival_value(self, s):
+        self.sizes.append(np.size(s))
+        return self.rng.uniform(size=np.shape(s))
+
+
+def test_finite_cost_work_is_capped():
+    curve = _NoisyCurve()
+    got = curve_cost(Exponential(1.0), curve, 0.5, 3.0, tol=1e-300)
+    assert 0.0 < got < 3.0
+    assert len(curve.sizes) <= _integrate._ROUNDS
+    assert max(curve.sizes) <= 3 * 24 * _integrate._OPEN

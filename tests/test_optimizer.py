@@ -284,6 +284,12 @@ class TestDinkelbach:
         with pytest.raises(NonpositiveRiskError, match="infinite-ratio"):
             dinkelbach_optimize(MODEL, kernel, VAR_MARKET, mu0=1.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_tolerance_that_is_not_positive_and_finite(self, tol):
+        # a NaN or nonpositive tolerance would run the iteration to its cap
+        with pytest.raises(ValueError, match="tolerance"):
+            dinkelbach_optimize(MODEL, KERNEL, VAR_MARKET, tol=tol)
+
 
 class TestDiscreteOracle:
     def test_refuses_large_grids(self):
