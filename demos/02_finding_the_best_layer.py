@@ -5,7 +5,8 @@ layer attaching just below the VaR level.  Three routes agree:
 
 1. the attachment fixed point, where the kernel price at the attachment
    equals the ratio the layer achieves;
-2. a grid-plus-refinement search over all truncated stop-loss contracts;
+2. Dinkelbach iteration restricted to single layers, which finds the best
+   truncated stop-loss contract;
 3. Dinkelbach iteration over every admissible schedule (alternating an exact
    bang-bang solution of the linearized problem with a ratio update).
 

@@ -93,11 +93,11 @@ class LossModel(ABC):
         return math.inf
 
     def tail_expectation(self, t):
-        """E(X | X >= t) = t + tail_integral(t) / (1 - F(t))."""
+        """E(X | X >= t) = t + tail_integral(t) / S(t)."""
         t_arr = _validate_level(t, "t")
-        surv = np.asarray(1.0 - self.cdf(t_arr))
+        surv = np.asarray(self.sf(t_arr))
         if np.any(surv <= 0.0):
-            raise DegenerateTailError("tail expectation undefined where F(t) = 1")
+            raise DegenerateTailError("tail expectation undefined where S(t) = 0")
         return _ret(t_arr + np.asarray(self.tail_integral(t_arr)) / surv)
 
     def var_level(self, epsilon: float) -> float:

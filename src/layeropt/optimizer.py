@@ -7,7 +7,9 @@ nonnegative, and the multiplier is then updated to the achieved ratio.  The
 marginal gain at loss level x is mu (below the VaR level) minus the kernel
 price K(F(x)), plus a tail credit above the VaR level under CVaR.  Because
 the kernel is concave, the cession region below the VaR level is a union of
-at most two intervals whose edges are found by bracketed bisection.
+at most two intervals whose edges are found by bracketed bisection.  The
+best truncated stop loss runs the same iteration over single layers, whose
+multiplier step picks one of those intervals or their hull.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._integrate import bisect_root, cumulative_kernel_cost, kernel_cost, purchasable
+from ._integrate import bisect_root, cumulative_kernel_cost, kernel_cost
 from .contracts import (
     IndemnitySchedule,
     Layer,
@@ -54,8 +56,8 @@ def _classify(layer_count: int) -> str:
     return "single-layer" if layer_count == 1 else "multi-layer"
 
 
-def _finish(schedule: IndemnitySchedule, model, kernel, market, mu_trace=(), *, tol=1e-10) -> OptimResult:
-    valuation = criterion(model, kernel, schedule, market, tol=tol)
+def _finish(schedule: IndemnitySchedule, model, kernel, market, mu_trace=()) -> OptimResult:
+    valuation = criterion(model, kernel, schedule, market)
     lays = schedule.layers()
     return OptimResult(schedule, valuation, tuple(mu_trace), len(lays), _classify(len(lays)))
 
@@ -190,145 +192,8 @@ def solve_attachment_fixed_point(model, kernel, market: MarketSpec, *, tol_root:
     return AttachmentResult(a_hat, ratio, len(brackets) > 1)
 
 
-def best_truncated_stop_loss(
-    model, kernel, market: MarketSpec, *, grid_size: int = 200, tol: float = 1e-6
-) -> OptimResult:
-    """Maximize the ratio over single layers by coarse grid plus local refinement.
-
-    The grid covers attachments up to the VaR level and detachments beyond it
-    (including an unbounded-detachment column when unbounded cover is
-    purchasable); the winning cell is refined by a zoomed grid and
-    coordinate-wise bounded searches to ``tol``.  Under CVaR a layer reaching
-    the VaR level then takes the first-order detachment of its ratio, which
-    may lie past the grid, alternating with the attachment search.
-    """
-    market0 = replace(market, beta=0.0)
-    eps = market0.epsilon
-    x_eps = model.var_level(eps)
-    gain = market0.gamma * model.mean
-    floor = risk_ledger(model, market0, 0.0, 0.0)[0]
-    b_max = max(2.0 * x_eps, float(model.quantile(1.0 - eps / 10.0)))
-    unbounded = purchasable(model, kernel)
-
-    def ratio_grid(a_vals, b_vals, include_inf: bool):
-        pts = np.unique(
-            np.concatenate(
-                [a_vals, b_vals, [x_eps], [t for t in model.cdf_knots if 0.0 < t < b_vals[-1]]]
-            )
-        )
-        cum = cumulative_kernel_cost(model, kernel, pts)
-        ia = np.searchsorted(pts, a_vals)
-        ib = np.searchsorted(pts, b_vals)
-        cost = cum[ib][None, :] - cum[ia][:, None]
-        if include_inf:
-            tail_cost = kernel_cost(model, kernel, pts[-1], math.inf, tol=1e-12)
-            cost_inf = (cum[-1] + tail_cost) - cum[ia]
-            cost = np.concatenate([cost, cost_inf[:, None]], axis=1)
-            b_all = np.concatenate([b_vals, [math.inf]])
-        else:
-            b_all = b_vals
-        a_col = a_vals[:, None]
-        b_row = b_all[None, :]
-        risk = floor - risk_ledger(model, market0, a_col, b_row)[1]
-        profit = gain - cost
-        valid = (b_row - a_col > 1e-9) & (risk > 1e-12)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(valid, profit / risk, -np.inf)
-        return ratios, b_all
-
-    def panel_ratio(a: float, b: float) -> float:
-        # fixed Gauss-Legendre panels: machine accurate for the smooth integrands here
-        if not b > a + 1e-12:
-            return -math.inf
-        if math.isinf(b):
-            if not unbounded:
-                return -math.inf
-            cost = kernel_cost(model, kernel, a, b, tol=1e-12)
-        else:
-            grid = np.unique(np.concatenate(
-                [np.linspace(a, b, 9), [t for t in model.cdf_knots if a < t < b]]
-            ))
-            cost = cumulative_kernel_cost(model, kernel, grid)[-1]
-        risk = float(floor - risk_ledger(model, market0, a, b)[1])
-        if risk <= 1e-12:
-            return -math.inf
-        return (gain - cost) / risk
-
-    from scipy.optimize import minimize_scalar
-
-    a_vals = np.linspace(0.0, x_eps, grid_size)
-    b_vals = np.unique(np.concatenate([np.linspace(x_eps / grid_size, b_max, grid_size), [x_eps]]))
-    ratios, b_all = ratio_grid(a_vals, b_vals, include_inf=unbounded)
-    i, j = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
-    a_best, b_best = float(a_vals[i]), float(b_all[j])
-    da = float(a_vals[1] - a_vals[0])
-
-    if math.isinf(b_best):
-        best_val = panel_ratio(a_best, b_best)  # only CVaR can prefer inf; the loop below refines it
-    else:
-        db = float(b_vals[1] - b_vals[0]) if len(b_vals) > 1 else da
-        for step_a, step_b, n_pts in ((da, db, 65), (da / 16.0, db / 16.0, 33)):
-            za = np.linspace(max(0.0, a_best - step_a), min(x_eps, a_best + step_a), n_pts)
-            zb = np.linspace(max(b_best - step_b, 1e-9), b_best + step_b, n_pts)
-            zr, zb_all = ratio_grid(za, zb, include_inf=False)
-            zi, zj = np.unravel_index(int(np.argmax(zr)), zr.shape)
-            a_best, b_best = float(za[zi]), float(zb_all[zj])
-        step = max(da / 128.0, 8.0 * tol)
-        best_val = panel_ratio(a_best, b_best)
-        res = minimize_scalar(lambda a: -panel_ratio(a, b_best),
-                              bounds=(max(0.0, a_best - step), min(min(x_eps, b_best - 1e-9), a_best + step)),
-                              method="bounded", options={"xatol": tol * 1e-2, "maxiter": 100})
-        if -res.fun >= best_val:
-            a_best, best_val = float(res.x), -res.fun
-        res = minimize_scalar(lambda b: -panel_ratio(a_best, b),
-                              bounds=(max(a_best + 1e-9, b_best - step), b_best + step),
-                              method="bounded", options={"xatol": tol * 1e-2, "maxiter": 100})
-        if -res.fun >= best_val:
-            b_best, best_val = float(res.x), -res.fun
-
-    if market0.risk_measure == CVAR and b_best >= x_eps:
-        # Above the VaR level the best detachment for a ratio mu solves
-        # K(F(b)) = mu S(b) / eps; alternating that detachment with the
-        # attachment search climbs to the optimum even where it detaches past
-        # the grid's last column, or finitely where the grid chose inf.
-        for _ in range(20):
-            if best_val > kernel.k(1.0 - eps):
-                u_stop = _cvar_detachment(kernel, best_val, eps)
-                b_new = math.inf if u_stop is None else float(model.quantile(u_stop))
-            else:
-                b_new = x_eps
-            res = minimize_scalar(lambda a: -panel_ratio(a, b_new),
-                                  bounds=(max(0.0, a_best - da), min(x_eps, a_best + da)),
-                                  method="bounded", options={"xatol": tol * 1e-2, "maxiter": 100})
-            val, a_new = max((panel_ratio(a_best, b_new), a_best), (-res.fun, float(res.x)))
-            if not val > best_val:
-                break
-            a_best, b_best, best_val = a_new, b_new, val
-
-    # a layer that does not beat no cession is a degenerate sliver of the search
-    if not best_val > gain / floor:
-        return _finish(zero_schedule(), model, kernel, market)
-    return _finish(truncated_stop_loss(a_best, b_best), model, kernel, market)
-
-
-def dinkelbach_optimize(
-    model, kernel, market: MarketSpec, mu0: float | None = None, *,
-    tol: float = 1e-10, max_iter: int = 100,
-) -> OptimResult:
-    """Maximize the ratio criterion over all admissible schedules.
-
-    Alternates the multiplier problem (solved exactly by ``lagrange_optimum``)
-    with the ratio update until the multiplier is stationary.  Started from
-    the no-cession ratio the multiplier trace is nondecreasing.  An iterate
-    with nonpositive retained risk aborts with ``NonpositiveRiskError`` when
-    its profit is positive (the trivial infinite-ratio regime); when its
-    profit is nonpositive the multiplier merely overshot (possible only with
-    a custom ``mu0``) and the iteration restarts from the no-cession ratio.
-
-    The cost-of-capital coefficient shifts every ratio by the same constant,
-    so the search runs with it removed and only the reported valuation
-    reflects it.  Raises ``ValueError`` unless ``tol`` is positive and finite.
-    """
+def _dinkelbach(step, model, kernel, market: MarketSpec, mu0, tol: float, max_iter: int) -> OptimResult:
+    """Dinkelbach iteration over the schedules ``step(mu, ...)`` may return."""
     _check_positive(tol, "multiplier tolerance")
     market0 = replace(market, beta=0.0)
     floor = criterion(model, kernel, zero_schedule(), market0).ratio
@@ -337,7 +202,7 @@ def dinkelbach_optimize(
     schedule = zero_schedule()
     restarted = False
     for _ in range(max_iter):
-        schedule = lagrange_optimum(mu, model, kernel, market0)
+        schedule = step(mu, model, kernel, market0)
         try:
             value = criterion(model, kernel, schedule, market0)
         except NonpositiveRiskError as exc:
@@ -360,6 +225,59 @@ def dinkelbach_optimize(
             break
         mu = new_mu
     return _finish(schedule, model, kernel, market, trace)
+
+
+def dinkelbach_optimize(
+    model, kernel, market: MarketSpec, mu0: float | None = None, *,
+    tol: float = 1e-10, max_iter: int = 100,
+) -> OptimResult:
+    """Maximize the ratio criterion over all admissible schedules.
+
+    Alternates the multiplier problem (solved exactly by ``lagrange_optimum``)
+    with the ratio update until the multiplier is stationary.  Started from
+    the no-cession ratio the multiplier trace is nondecreasing.  An iterate
+    with nonpositive retained risk aborts with ``NonpositiveRiskError`` when
+    its profit is positive (the trivial infinite-ratio regime); when its
+    profit is nonpositive the multiplier merely overshot (possible only with
+    a custom ``mu0``) and the iteration restarts from the no-cession ratio.
+
+    The cost-of-capital coefficient shifts every ratio by the same constant,
+    so the search runs with it removed and only the reported valuation
+    reflects it.  Raises ``ValueError`` unless ``tol`` is positive and finite.
+    """
+    return _dinkelbach(lagrange_optimum, model, kernel, market, mu0, tol, max_iter)
+
+
+def _best_single_layer(mu: float, model, kernel, market: MarketSpec) -> IndemnitySchedule:
+    """The single layer maximizing mu * relief - cost, a maximum-subarray problem.
+
+    The marginal gain is positive exactly on the at most two runs of
+    ``lagrange_optimum(mu)``, so the best interval is one run or their hull.
+    """
+    schedule = lagrange_optimum(mu, model, kernel, market)
+    runs = schedule.layers()
+    if len(runs) < 2:
+        return schedule
+    (a1, b1), (a2, b2) = ((run.attachment, run.detachment) for run in runs)
+    c1, c_gap, c2 = (kernel_cost(model, kernel, lo, hi) for lo, hi in ((a1, b1), (b1, a2), (a2, b2)))
+    relief = risk_ledger(model, market, [a1, a2, a1], [b1, b2, b2])[1]
+    best = int(np.argmax(mu * relief - np.array([c1, c2, c1 + c_gap + c2])))
+    return truncated_stop_loss(*((a1, b1), (a2, b2), (a1, b2))[best])
+
+
+def best_truncated_stop_loss(
+    model, kernel, market: MarketSpec, *, grid_size: int = 200, tol: float = 1e-10
+) -> OptimResult:
+    """Maximize the ratio over single layers [a, b) and no cession.
+
+    Dinkelbach iteration restricted to single layers (``_best_single_layer``),
+    so interior edges meet the first-order conditions, e.g. K(F(a)) = ratio.
+    ``tol`` is the multiplier tolerance; ``grid_size`` is unused, kept for
+    compatibility.  Raises ``NonpositiveRiskError`` in the infinite-ratio
+    regime (solvency fails: a layer cedes all retained risk at a profit) and
+    ``ValueError`` unless ``tol`` is positive and finite.
+    """
+    return _dinkelbach(_best_single_layer, model, kernel, market, None, tol, 100)
 
 
 def discrete_bruteforce_oracle(

@@ -190,13 +190,18 @@ from layeropt.cli import COMMANDS, main
 
 for command in COMMANDS:
     assert main(["--config", sys.argv[1], "--command", command, "--out", sys.argv[2]]) == 0, command
-loaded = sorted(name for name in sys.modules if name.startswith("scipy.integrate"))
+for measure in ("var", "cvar"):
+    market = layeropt.MarketSpec(gamma=0.1, epsilon=0.05, risk_measure=measure)
+    layeropt.best_truncated_stop_loss(layeropt.Exponential(1.0), layeropt.quadratic_kernel(0.5, 0.1), market)
+loaded = sorted(name for name in sys.modules if name.startswith(("scipy.integrate", "scipy.optimize")))
 assert not loaded, loaded
 """
 
 
 def test_no_command_imports_scipy_integrate(tmp_path):
-    # every CLI command on the baseline config, in one fresh interpreter
+    # every CLI command on the baseline config and the stop-loss search under
+    # both measures, in one fresh interpreter: neither scipy.integrate nor
+    # scipy.optimize is loaded
     result = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_INTEGRATE, str(ROOT / "demos" / "baseline.ini"), str(tmp_path / "out.csv")],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),

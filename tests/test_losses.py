@@ -124,6 +124,32 @@ class TestEmpiricalTable:
             m.tail_expectation(2.5)
 
 
+DEEP_SURVIVAL = (1e-6, 1e-15, 1e-17, 1e-100, 1e-300)
+
+
+class TestDeepTailExpectation:
+    """The conditional tail mean divides by ``sf``, which stays exact where 1 - F(t) rounds to 0."""
+
+    @pytest.mark.parametrize("s", DEEP_SURVIVAL)
+    @pytest.mark.parametrize("model", [Exponential(1.0), Pareto.with_mean(2.5, 1.0), Pareto.with_mean(1.2, 1.0)],
+                             ids=lambda m: f"{m.family}")
+    def test_matches_closed_form(self, model, s):
+        t = float(model.isf(s))
+        want = t + model.mean if model.family == "exponential" else t * model.shape / (model.shape - 1.0)
+        assert float(model.tail_expectation(t)) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("s", DEEP_SURVIVAL)
+    @pytest.mark.parametrize("model", [
+        Lognormal.from_mean(1.0, 1.5),
+        Gamma.from_mean(1.0, 0.6),
+        EmpiricalTable((0.0, 0.5, 2.0, 5.0), (0.1, 0.4, 0.8, 0.97)),
+    ], ids=lambda m: f"{m.family}")
+    def test_finite_and_above_threshold(self, model, s):
+        t = float(model.isf(s))
+        value = float(model.tail_expectation(t))
+        assert math.isfinite(value) and value >= t
+
+
 class TestPortfolioNormal:
     def test_quantile_matches_normal_theory(self):
         m = portfolio_normal_model(10_000, 1.0, 1.0)

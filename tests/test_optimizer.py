@@ -24,6 +24,7 @@ from layeropt import (
     criterion,
     dinkelbach_optimize,
     discrete_bruteforce_oracle,
+    find_tail_condition_violation,
     from_distortion,
     lagrange_optimum,
     marginal_gain,
@@ -32,6 +33,8 @@ from layeropt import (
     solve_attachment_fixed_point,
     zero_schedule,
 )
+from layeropt._integrate import cumulative_kernel_cost, kernel_cost, purchasable
+from layeropt.valuation import risk_ledger
 
 MODEL = Exponential(1.0)
 KERNEL = quadratic_kernel(0.5, 0.1)
@@ -217,7 +220,7 @@ class TestBestTruncatedStopLoss:
 
     def test_matches_dinkelbach_single_layers_on_criterion2_draw(self, hypothesis_instances):
         # wherever Dinkelbach's optimum is one layer, the stop-loss search finds it,
-        # including CVaR optima detaching past its grid (instances 3 and 33)
+        # including CVaR optima detaching finitely past the VaR level (instances 3 and 33)
         misses = []
         for i, (model, kernel, market) in enumerate(hypothesis_instances):
             for measure in ("var", "cvar"):
@@ -231,6 +234,56 @@ class TestBestTruncatedStopLoss:
                     misses.append((i, measure, got, want))
         assert misses == []
 
+    @pytest.mark.parametrize("kernel, gamma, measure", [
+        (quadratic_kernel(0.5, 0.01), 0.3, VAR),
+        (quadratic_kernel(0.5, 0.01), 0.3, CVAR),
+        (from_distortion(PowerDistortion(1.0), 0.05), 0.1, VAR),
+    ])
+    def test_raises_in_infinite_ratio_regime(self, kernel, gamma, measure):
+        # solvency fails: a layer ceding all retained risk is profitable, so
+        # no finite ratio is best and a sliver of retained risk is no answer
+        from layeropt import check_conditions
+
+        market = MarketSpec(gamma=gamma, epsilon=0.05, risk_measure=measure)
+        assert check_conditions(MODEL, kernel, market).predicted_shape == "trivial-infinite-ratio"
+        with pytest.raises(NonpositiveRiskError, match="infinite-ratio"):
+            best_truncated_stop_loss(MODEL, kernel, market)
+
+    @pytest.mark.parametrize("family, param, measure", [
+        ("violation", None, VAR), ("violation", None, CVAR),
+        *((fam, p, measure) for fam, p in (("pareto", 1.5), ("pareto", 3.0), ("lognormal", 1.5))
+          for measure in (VAR, CVAR)),
+        ("cheap-kernel", None, CVAR), ("criterion2", 3, CVAR), ("lower-band", None, VAR),
+        ("hull", None, CVAR),
+    ])
+    def test_beats_dense_grid_and_meets_first_order_conditions(self, family, param, measure, hypothesis_instances):
+        # a dense grid of layers is an independent lower bound; under VaR the
+        # violation instance's unrestricted optimum has two layers, criterion-2
+        # instance 3 detaches finitely past the VaR level, and the lower-band
+        # instance's best layer is the lower of the two runs, [0, b), and the
+        # hull instance's spans both runs and the gap between them
+        model, kernel, market = _grid_case(family, param, measure, hypothesis_instances)
+        result = best_truncated_stop_loss(model, kernel, market)
+        ratio = result.valuation.ratio
+        assert ratio >= _grid_best_ratio(model, kernel, market) * (1.0 - 1e-12)
+        assert result.layer_count <= 1
+        x_eps = model.var_level(market.epsilon)
+        for layer in result.schedule.layers():
+            a, b = layer.attachment, layer.detachment
+            if a > 0.0:
+                assert kernel.k(model.cdf(a)) == pytest.approx(ratio, abs=1e-8)
+            if b < x_eps:
+                assert kernel.k(model.cdf(b)) == pytest.approx(ratio, abs=1e-8)
+            elif x_eps < b < math.inf:
+                want = ratio * model.sf(b) / market.epsilon
+                assert kernel.k(model.cdf(b)) == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_tolerance_that_is_not_positive_and_finite(self, tol):
+        # the multiplier tolerance of the shared Dinkelbach loop
+        with pytest.raises(ValueError, match="tolerance"):
+            best_truncated_stop_loss(MODEL, KERNEL, VAR_MARKET, tol=tol)
+
     def test_skips_unbounded_column_that_is_not_purchasable(self):
         # Pareto(1.2) tail with s**0.8: every unbounded layer has infinite cost
         model = Pareto.with_mean(1.2, 1.0)
@@ -240,6 +293,47 @@ class TestBestTruncatedStopLoss:
         exact = dinkelbach_optimize(model, kernel, market)
         assert all(math.isfinite(l.detachment) for l in result.schedule.layers())
         assert result.valuation.ratio <= exact.valuation.ratio + 1e-9
+
+
+def _grid_case(family, param, measure, instances):
+    if family == "criterion2":
+        model, kernel, market = instances[param]
+        return model, kernel, MarketSpec(gamma=market.gamma, epsilon=market.epsilon, risk_measure=measure)
+    if family == "violation":
+        inst = find_tail_condition_violation()
+        return inst.model, inst.kernel, MarketSpec(
+            gamma=inst.market.gamma, epsilon=inst.market.epsilon, risk_measure=measure
+        )
+    if family == "cheap-kernel":
+        return MODEL, quadratic_kernel(0.15, 0.3), MarketSpec(gamma=0.3, epsilon=0.1, risk_measure=measure)
+    if family == "lower-band":
+        kernel = quadratic_kernel(0.6, 0.04)
+        return Gamma.from_mean(1.0, 2.2), kernel, MarketSpec(gamma=0.19, epsilon=0.19, risk_measure=measure)
+    if family == "hull":
+        kernel = from_distortion(PowerDistortion(0.65), 0.05)
+        return MODEL, kernel, MarketSpec(gamma=0.5, epsilon=0.12, risk_measure=measure)
+    model = Pareto.with_mean(param, 1.0) if family == "pareto" else Lognormal.from_mean(1.0, param)
+    return model, KERNEL, MarketSpec(gamma=0.1, epsilon=0.05, risk_measure=measure)
+
+
+def _grid_best_ratio(model, kernel, market, n=400):
+    """Best ratio over layers whose edges lie on a dense grid, priced without the solvers.
+
+    Edges run to the VaR level and, under CVaR, on to survival epsilon / 100,
+    plus an unbounded detachment when unbounded cover is purchasable.
+    """
+    x_eps = model.var_level(market.epsilon)
+    top = float(model.isf(market.epsilon / 100.0)) if market.risk_measure == CVAR else x_eps
+    pts = np.unique(np.concatenate([np.linspace(0.0, x_eps, n), np.linspace(x_eps, top, n), model.cdf_knots]))
+    cum = cumulative_kernel_cost(model, kernel, pts)
+    cost, b = cum[None, :] - cum[:, None], pts
+    if purchasable(model, kernel):
+        tail = cum[-1] + kernel_cost(model, kernel, pts[-1], math.inf)
+        cost, b = np.hstack([cost, tail - cum[:, None]]), np.append(pts, math.inf)
+    floor, relief = risk_ledger(model, market, pts[:, None], b[None, :])
+    ok = (b[None, :] > pts[:, None]) & (floor - relief > 0.0)
+    ratios = (market.gamma * model.mean - cost) / np.where(ok, floor - relief, 1.0)
+    return float(np.max(np.where(ok, ratios, -np.inf)))
 
 
 class TestDinkelbach:
