@@ -126,10 +126,12 @@ def gamma_lower_exact(base: BaseCurve, epsilon: float) -> float:
 def critical_attachment(gamma: float, model, base: BaseCurve, epsilon: float) -> float:
     """The loss level where the loaded kernel falls back to the loading gamma.
 
-    Solves base(u) = gamma/(1+gamma) * u for the positive root and maps it
-    through the quantile function.  At the upper loading threshold the root
-    is zero; at or below the exact lower endpoint the attachment caps at the
-    VaR level, the largest attachment of interest.
+    Loaded at gamma_r = gamma, K(1 - s) equals gamma at s = 1 and at one
+    survival level below its peak, the lo of ``crossings(gamma)``, which maps
+    to a loss through ``model.isf``.  The attachment is zero when the kernel
+    never rises above gamma (from the upper loading threshold on) and caps at
+    the VaR level, the largest attachment of interest, at or below the exact
+    lower endpoint.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
@@ -137,14 +139,10 @@ def critical_attachment(gamma: float, model, base: BaseCurve, epsilon: float) ->
     g_hi = base.gamma_upper()
     if gamma < g_lo - 1e-12 or gamma > g_hi + 1e-12:
         raise ValueError(f"gamma={gamma:g} outside the loading interval [{g_lo:g}, {g_hi:g}]")
-    slope = gamma / (1.0 + gamma)
-    if slope >= base.slope_at_zero:
+    s_root, _, _, top = PricingKernel(base, gamma).crossings(gamma)
+    if top <= gamma:
         return 0.0
-    u_root = bisect_root(lambda u: float(base.value(u)) - slope * u, 1e-12, 1.0, xtol=1e-15)
-    x_eps = model.var_level(epsilon)
-    if u_root >= 1.0 - epsilon:
-        return x_eps
-    return float(model.quantile(u_root))
+    return model.var_level(epsilon) if s_root <= epsilon else float(model.isf(s_root))
 
 
 @dataclass(frozen=True)

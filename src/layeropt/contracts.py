@@ -60,16 +60,14 @@ class IndemnitySchedule:
             merged_s.append(s)
         object.__setattr__(self, "breakpoints", tuple(merged_b))
         object.__setattr__(self, "slopes", tuple(merged_s))
-        knots = np.asarray(self.breakpoints)
-        values = np.concatenate([[0.0], np.cumsum(np.asarray(self.slopes[:-1]) * np.diff(knots))])
-        object.__setattr__(self, "_knots", knots)
-        object.__setattr__(self, "_values", values)
 
     def evaluate(self, x):
         """I(x), vectorized; negative arguments evaluate as zero loss."""
         x = np.maximum(np.asarray(x, dtype=float), 0.0)
-        idx = np.clip(np.searchsorted(self._knots, x, side="right") - 1, 0, len(self._knots) - 1)
-        out = self._values[idx] + np.asarray(self.slopes)[idx] * (x - self._knots[idx])
+        knots, slopes = np.asarray(self.breakpoints), np.asarray(self.slopes)
+        values = np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.diff(knots))])
+        idx = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 1)
+        out = values[idx] + slopes[idx] * (x - knots[idx])
         return float(out) if out.ndim == 0 else out
 
     def layers(self) -> list[Layer]:

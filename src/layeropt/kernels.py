@@ -11,6 +11,11 @@ at survival level s = 1 - u directly (``survival_value``), the leading
 power p of that value as s -> 0 (``survival_exponent``: unbounded cover on a
 tail of index alpha has a finite price iff alpha * p > 1) and the survival
 levels where it is not smooth (``survival_knots``).
+
+Every curve gives in closed form the s where K0(1 - s) + t * s peaks
+(``tilted_peak``).  From it ``PricingKernel.crossings`` finds the one interval
+where the concave s -> K(1 - s) - slope * s is at least a level mu: layer
+edges, the CVaR detachment, the critical attachment and ``k_max`` all use it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._integrate import bisect_root
 from .losses import _ret
 
 _CONCAVITY_GRID = np.linspace(0.0, 1.0, 201)
@@ -42,6 +48,10 @@ class Distortion(ABC):
     @abstractmethod
     def slope_at_one(self) -> float:
         """Left derivative of g at s = 1; fixes the induced curve's slope at zero."""
+
+    @abstractmethod
+    def tilted_peak(self, tau: float) -> float:
+        """The s in [0, 1] maximizing g(s) - tau * s."""
 
     @property
     @abstractmethod
@@ -70,6 +80,13 @@ class PowerDistortion(Distortion):
     def slope_at_one(self) -> float:
         return self.exponent
 
+    def tilted_peak(self, tau: float) -> float:
+        r = self.exponent
+        if r >= 1.0:
+            return 1.0 if tau < 1.0 else 0.0
+        # g'(s) = r s**(r - 1) falls to tau at s = (r / tau)**(1 / (1 - r)), beyond 1 when tau <= r
+        return 1.0 if tau <= r else (r / tau) ** (1.0 / (1.0 - r))
+
     @property
     def survival_exponent(self) -> float:
         return min(self.exponent, 1.0)
@@ -91,6 +108,9 @@ class CappedLinearDistortion(Distortion):
     def slope_at_one(self) -> float:
         return 1.0 if self.slope == 1.0 else 0.0
 
+    def tilted_peak(self, tau: float) -> float:
+        return 1.0 if tau <= 0.0 else 1.0 / self.slope if tau < self.slope else 0.0
+
     @property
     def survival_exponent(self) -> float:
         return 1.0
@@ -111,6 +131,10 @@ class BaseCurve(ABC):
     @abstractmethod
     def survival_value(self, s):
         """K0(1 - s), computed without forming u = 1 - s."""
+
+    @abstractmethod
+    def tilted_peak(self, t: float) -> float:
+        """The s in [0, 1] maximizing K0(1 - s) + t * s."""
 
     @property
     @abstractmethod
@@ -154,6 +178,9 @@ class QuadraticCurve(BaseCurve):
         s = np.asarray(s, dtype=float)
         return _ret(self.c * s * (1.0 - s))
 
+    def tilted_peak(self, t: float) -> float:
+        return min(max(0.5 + 0.5 * t / self.c, 0.0), 1.0)
+
     @property
     def survival_exponent(self) -> float:
         return 1.0
@@ -176,6 +203,9 @@ class DistortionCurve(BaseCurve):
     def survival_value(self, s):
         s = np.asarray(s, dtype=float)
         return _ret(np.asarray(self.distortion.value(s)) - s)
+
+    def tilted_peak(self, t: float) -> float:
+        return self.distortion.tilted_peak(1.0 - t)
 
     @property
     def survival_exponent(self) -> float:
@@ -250,29 +280,26 @@ class PricingKernel:
             raise ValueError("epsilon must lie in (0, 1)")
         return float(self.base.value(1.0 - epsilon))
 
+    def crossings(self, mu: float, slope: float = 0.0) -> tuple[float, float, float, float]:
+        """(lo, hi, peak, top) of the concave f(s) = K(1 - s) - slope * s: f peaks
+        at ``peak`` with value ``top`` and is at least mu exactly on [lo, hi]
+        (lo = hi = peak when top <= mu)."""
+
+        def f(s):
+            return self.survival_value(s) - slope * s
+
+        peak = self.base.tilted_peak((self.gamma_r - slope) / (1.0 + self.gamma_r))
+        top = f(peak)
+        if top <= mu:
+            return peak, peak, peak, top
+        lo = bisect_root(lambda s: f(s) - mu, 0.0, peak, xtol=1e-15)
+        hi = 1.0 if f(1.0) >= mu else bisect_root(lambda s: f(s) - mu, peak, 1.0, xtol=1e-15)
+        return lo, hi, peak, top
+
     def k_max(self) -> tuple[float, float]:
         """(argmax, max) of the loaded kernel on [0, 1]."""
-        grid = np.linspace(0.0, 1.0, 2049)
-        vals = np.asarray(self.k(grid))
-        i = int(np.argmax(vals))
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-        # golden-section refinement; concavity makes this safe
-        inv = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        x1 = b - inv * (b - a)
-        x2 = a + inv * (b - a)
-        f1, f2 = self.k(x1), self.k(x2)
-        for _ in range(80):
-            if f1 < f2:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + inv * (b - a)
-                f2 = self.k(x2)
-            else:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - inv * (b - a)
-                f1 = self.k(x1)
-        u_star = 0.5 * (a + b)
-        return u_star, float(self.k(u_star))
+        _, _, peak, top = self.crossings(0.0)
+        return 1.0 - peak, top
 
 
 def quadratic_kernel(c: float, gamma_r: float) -> PricingKernel:

@@ -261,7 +261,7 @@ class Lognormal(LossModel):
         t_safe = np.maximum(t, 1e-300)
         d = (np.log(t_safe) - self.mu) / self.sigma
         partial = self.mean * ndtr(self.sigma - d)
-        value = partial - t * (1.0 - ndtr(d))
+        value = partial - t * ndtr(-d)
         return _ret(np.where(t <= 0.0, self.mean, value))
 
     def rescale(self, new_mean: float) -> "Lognormal":
@@ -307,11 +307,11 @@ class Gamma(LossModel):
         return _ret(self.scale * gammainccinv(self.shape, s))
 
     def tail_integral(self, t):
-        # E[X; X > t] = mean * (1 - F_{shape+1}(t)), then subtract t * survival
+        # E[X; X > t] = mean * S_{shape+1}(t), then subtract t * survival
         t = _validate_level(t, "t")
         z = t / self.scale
-        partial = self.mean * (1.0 - gammainc(self.shape + 1.0, z))
-        return _ret(partial - t * (1.0 - gammainc(self.shape, z)))
+        partial = self.mean * gammaincc(self.shape + 1.0, z)
+        return _ret(partial - t * gammaincc(self.shape, z))
 
     def rescale(self, new_mean: float) -> "Gamma":
         _check_positive(new_mean, "new_mean")
@@ -519,7 +519,7 @@ class PortfolioNormal(LossModel):
         t = _validate_level(t, "t")
         d = (t - self.location) / self.spread
         phi = np.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
-        plain = (self.location - t) * (1.0 - ndtr(d)) + self.spread * phi
+        plain = (self.location - t) * ndtr(-d) + self.spread * phi
         return _ret(plain / self._keep)
 
     def rescale(self, new_mean: float) -> "PortfolioNormal":

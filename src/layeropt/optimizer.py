@@ -7,7 +7,7 @@ nonnegative, and the multiplier is then updated to the achieved ratio.  The
 marginal gain at loss level x is mu (below the VaR level) minus the kernel
 price K(F(x)), plus a tail credit above the VaR level under CVaR.  Because
 the kernel is concave, the cession region below the VaR level is a union of
-at most two intervals whose edges are found by bracketed bisection.  The
+at most two intervals whose edges are the kernel's level crossings.  The
 best truncated stop loss runs the same iteration over single layers, whose
 multiplier step picks one of those intervals or their hull.
 """
@@ -75,79 +75,36 @@ def marginal_gain(x, mu: float, model, kernel, market: MarketSpec):
     return float(out) if out.ndim == 0 else out
 
 
-def _kernel_level_roots(kernel, mu: float, u_peak: float, k_peak: float):
-    """Roots of K(u) = mu on the rising and falling branches (None if absent)."""
-    k = kernel.k
-    up = None
-    if mu >= kernel.gamma_r and k_peak > mu and u_peak > 0.0:
-        if k(0.0) == mu:
-            up = 0.0
-        else:
-            up = bisect_root(lambda u: k(u) - mu, 0.0, u_peak, xtol=1e-15)
-    down = None
-    if k_peak > mu:
-        down = bisect_root(lambda u: k(u) - mu, u_peak, 1.0, xtol=1e-15)
-    return up, down
-
-
-def _cvar_detachment(kernel, mu: float, eps: float):
-    """Where the tail credit stops paying for the kernel price, or inf.
-
-    Above the VaR level the marginal gain has the sign of
-    mu/eps - K(u)/(1-u), and K(u)/(1-u) is nondecreasing for concave kernels,
-    so there is at most one sign change.
-    """
-    u_top = 1.0 - 1e-13
-
-    def h(u):
-        return mu / eps - kernel.k(u) / (1.0 - u)
-
-    if h(u_top) >= 0.0:
-        return None  # stays profitable arbitrarily far out
-    return bisect_root(h, 1.0 - eps, u_top, xtol=1e-15)
-
-
 def lagrange_optimum(mu: float, model, kernel, market: MarketSpec) -> IndemnitySchedule:
     """Bang-bang schedule ceding exactly where the marginal gain is nonnegative.
 
-    Interval edges are located in probability space (where the kernel's
-    concavity guarantees at most two crossings of any level) and mapped back
-    through the quantile function.
+    Edges are found in survival space s = 1 - F(x), where the kernel price is
+    below mu exactly outside the interval ``kernel.crossings(mu)``, and map
+    back to losses through ``model.isf``.  Under CVaR the layer through the
+    VaR level detaches where the tail credit (mu / eps) * s stops paying.
     """
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
     eps = market.epsilon
-    u_eps = 1.0 - eps
     x_eps = model.var_level(eps)
-    u_peak, k_peak = kernel.k_max()
+    lo, hi, _, top = kernel.crossings(mu)
 
-    if k_peak <= 0.0:
+    if top <= 0.0:
         # identically zero kernel: cession is free, ties resolve to full cession
         return full_cession()
 
-    layers_u: list[tuple[float, float]] = []
-    if mu >= k_peak:
-        layers_u.append((0.0, u_eps))
-    else:
-        up, down = _kernel_level_roots(kernel, mu, u_peak, k_peak)
-        if up is not None and up > 0.0:
-            layers_u.append((0.0, up))
-        if down is not None and down < u_eps:
-            layers_u.append((max(down, up or 0.0), u_eps))
-        elif up is not None and up >= u_eps:
-            layers_u = [(0.0, u_eps)]
+    def loss_at(s: float) -> float:
+        return 0.0 if s >= 1.0 else x_eps if s <= eps else min(float(model.isf(s)), x_eps)
 
-    layers: list[Layer] = []
-    for u_lo, u_hi in layers_u:
-        x_lo = 0.0 if u_lo <= 0.0 else float(model.quantile(u_lo))
-        x_hi = x_eps if u_hi >= u_eps else float(model.quantile(u_hi))
-        if x_hi - x_lo > _WIDTH_TOL * max(1.0, x_eps):
-            layers.append(Layer(x_lo, min(x_hi, x_eps)))
+    # cede the survival levels above hi and from lo down to eps
+    ranges = [(1.0, eps)] if top <= mu else [(1.0, hi), (lo, eps)]
+    edges = [(loss_at(s_top), loss_at(s_bottom)) for s_top, s_bottom in ranges]
+    layers = [Layer(a, b) for a, b in edges if b - a > _WIDTH_TOL * max(1.0, x_eps)]
 
     if market.risk_measure == CVAR and layers and layers[-1].detachment >= x_eps - _WIDTH_TOL:
-        if mu > kernel.k(u_eps):
-            u_stop = _cvar_detachment(kernel, mu, eps)
-            detach = math.inf if u_stop is None else float(model.quantile(u_stop))
+        if mu > kernel.survival_value(eps):
+            _, s_stop, _, tail_top = kernel.crossings(0.0, mu / eps)
+            detach = math.inf if tail_top <= 0.0 else float(model.isf(s_stop))
             layers[-1] = Layer(layers[-1].attachment, detach)
 
     return schedule_from_layers(layers)

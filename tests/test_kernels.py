@@ -67,9 +67,9 @@ class TestLoadedKernel:
             prev = cur
 
     def test_k_max_finds_concave_peak(self):
-        # location is sqrt(eps)-accurate near a quadratic peak; the value is exact
+        # both the location and the value come from the closed-form peak
         u_star, k_star = BASELINE.k_max()
-        assert u_star == pytest.approx(0.45 / 1.1, abs=1e-6)
+        assert u_star == pytest.approx(0.45 / 1.1, abs=1e-15)
         assert k_star == pytest.approx(0.1 + 0.45**2 / (4 * 0.55), abs=1e-12)
 
 
@@ -164,3 +164,74 @@ def test_capped_linear_survival_knot():
     assert from_distortion(CappedLinearDistortion(4.0), 0.0).survival_knots == (0.25,)
     assert from_distortion(CappedLinearDistortion(1.0), 0.0).survival_knots == ()
     assert BASELINE.survival_knots == ()
+
+
+CURVES = [
+    QuadraticCurve(0.5),
+    QuadraticCurve(0.05),
+    DistortionCurve(PowerDistortion(0.6)),
+    DistortionCurve(PowerDistortion(0.99)),
+    DistortionCurve(PowerDistortion(1.0)),
+    DistortionCurve(CappedLinearDistortion(3.0)),
+    DistortionCurve(CappedLinearDistortion(1.0)),
+]
+
+
+@pytest.mark.parametrize("curve", CURVES, ids=repr)
+@pytest.mark.parametrize("t", [-2.0, -0.4, -0.01, 0.0, 0.05, 0.3, 0.9, 2.0])
+def test_tilted_peak_is_the_dense_grid_argmax(curve, t):
+    s = np.linspace(0.0, 1.0, 200_001)
+    tilted = np.asarray(curve.survival_value(s)) + t * s
+    peak = curve.tilted_peak(t)
+    assert 0.0 <= peak <= 1.0
+    # on flat stretches any grid argmax will do: compare values, then the location where the max is strict
+    assert float(curve.survival_value(peak)) + t * peak >= tilted.max() - 1e-15
+    best = s[tilted >= tilted.max() - 1e-12]
+    assert best[0] - 1e-5 <= peak <= best[-1] + 1e-5
+
+
+def test_tilted_peak_closed_forms():
+    assert QuadraticCurve(0.5).tilted_peak(0.1) == 0.5 + 0.5 * 0.1 / 0.5
+    assert QuadraticCurve(0.5).tilted_peak(0.6) == 1.0
+    assert QuadraticCurve(0.5).tilted_peak(-0.6) == 0.0
+    power = PowerDistortion(0.6)
+    assert power.tilted_peak(0.9) == (0.6 / 0.9) ** 2.5
+    assert power.tilted_peak(0.6) == 1.0
+    assert power.tilted_peak(0.0) == power.tilted_peak(-1.0) == 1.0
+    assert PowerDistortion(1.0).tilted_peak(0.99) == 1.0
+    assert PowerDistortion(1.0).tilted_peak(1.0) == 0.0
+    capped = CappedLinearDistortion(4.0)
+    assert capped.tilted_peak(0.5) == capped.tilted_peak(3.99) == 0.25
+    assert capped.tilted_peak(4.0) == capped.tilted_peak(9.0) == 0.0
+    assert capped.tilted_peak(0.0) == capped.tilted_peak(-1.0) == 1.0
+    # the distortion curve tilts by 1 - t, since K0(1 - s) = g(s) - s
+    assert DistortionCurve(power).tilted_peak(0.1) == power.tilted_peak(0.9)
+
+
+@pytest.mark.parametrize("kernel", KERNELS + [from_distortion(PowerDistortion(0.99), 0.05)], ids=lambda k: k.base.family)
+@pytest.mark.parametrize("slope", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize("fraction", [0.0, 0.2, 0.7, 0.999, 1.0, 1.5])
+def test_crossings_bound_the_level_set(kernel, slope, fraction):
+    def f(s):
+        return np.asarray(kernel.survival_value(s)) - slope * np.asarray(s)
+
+    _, _, peak, top = kernel.crossings(0.0, slope)
+    assert top == pytest.approx(float(f(peak)), abs=0.0)
+    s = np.linspace(0.0, 1.0, 100_001)
+    assert np.all(f(s) <= top + 1e-15)
+    mu = fraction * top
+    lo, hi, peak_mu, top_mu = kernel.crossings(mu, slope)
+    assert (peak_mu, top_mu) == (peak, top)
+    if top <= mu:
+        assert lo == hi == peak
+        return
+    assert 0.0 <= lo <= peak <= hi <= 1.0
+    assert float(f(lo)) == pytest.approx(mu, abs=1e-13)
+    if hi < 1.0:
+        assert float(f(hi)) == pytest.approx(mu, abs=1e-13)
+    else:
+        assert float(f(1.0)) >= mu
+    inside = s[(s > lo + 1e-9) & (s < hi - 1e-9)]
+    outside = s[(s < lo - 1e-9) | (s > hi + 1e-9)]
+    assert np.all(f(inside) > mu)
+    assert np.all(f(outside) < mu)

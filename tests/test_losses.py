@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -148,6 +149,42 @@ class TestDeepTailExpectation:
         t = float(model.isf(s))
         value = float(model.tail_expectation(t))
         assert math.isfinite(value) and value >= t
+
+
+def _mp_tail_integral(model, t):
+    """E(X - t)+ in 40-digit mpmath, from the model's parameters alone."""
+    with mp.workdps(40):
+        t = mp.mpf(t)
+        if model.family == "lognormal":
+            mu, sigma = mp.mpf(model.mu), mp.mpf(model.sigma)
+            d = (mp.log(t) - mu) / sigma
+            value = mp.exp(mu + sigma**2 / 2) * mp.ncdf(sigma - d) - t * mp.ncdf(-d)
+        elif model.family == "gamma":
+            a, z = mp.mpf(model.shape), t / mp.mpf(model.scale)
+            upper = lambda k: mp.gammainc(k, z, mp.inf, regularized=True)  # noqa: E731
+            value = a * mp.mpf(model.scale) * upper(a + 1) - t * upper(a)
+        else:
+            loc, spread = mp.mpf(model.location), mp.mpf(model.spread)
+            d = (t - loc) / spread
+            value = ((loc - t) * mp.ncdf(-d) + spread * mp.npdf(d)) / mp.ncdf(loc / spread)
+        return float(value)
+
+
+class TestDeepTailIntegral:
+    """Closed-form tail integrals keep relative accuracy where 1 - F(t) rounds to 0."""
+
+    @pytest.mark.parametrize("s, rel", [(1e-6, 1e-11), (1e-12, 1e-11), (1e-16, 1e-11), (1e-50, 1e-11),
+                                        (1e-100, 1e-9), (1e-300, 1e-9)])
+    @pytest.mark.parametrize("model", [
+        Lognormal.from_mean(1.0, 0.5),
+        Lognormal.from_mean(1.0, 1.5),
+        Gamma.from_mean(1.0, 0.6),
+        Gamma.from_mean(1.0, 3.0),
+        portfolio_normal_model(10, 1.0, 1.0),
+    ], ids=lambda m: f"{m.family}")
+    def test_matches_mpmath(self, model, s, rel):
+        t = float(model.isf(s))
+        assert float(model.tail_integral(t)) == pytest.approx(_mp_tail_integral(model, t), rel=rel, abs=0.0)
 
 
 class TestPortfolioNormal:

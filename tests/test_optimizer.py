@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from layeropt import (
     CVAR,
     VAR,
+    CappedLinearDistortion,
     EmpiricalTable,
     Exponential,
     Gamma,
@@ -481,10 +482,14 @@ def _lagrange_instances(draw):
     else:
         model = Pareto.with_mean(draw(st.floats(1.5, 4.0)), 1.0)
     gamma_r = draw(st.floats(0.0, 0.5))
-    if draw(st.booleans()):
+    curve = draw(st.sampled_from(["quadratic", "power", "capped-linear"]))
+    if curve == "quadratic":
         kernel = quadratic_kernel(draw(st.floats(0.05, 1.0)), gamma_r)
-    else:
+    elif curve == "power":
         kernel = from_distortion(PowerDistortion(draw(st.floats(0.3, 0.99))), gamma_r)
+    else:
+        # peaks at the kink s = 1 / slope
+        kernel = from_distortion(CappedLinearDistortion(draw(st.floats(1.0, 4.0))), gamma_r)
     market = MarketSpec(
         gamma=0.1, epsilon=draw(st.floats(0.01, 0.25)), risk_measure=draw(st.sampled_from([VAR, CVAR]))
     )
