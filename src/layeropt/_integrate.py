@@ -193,21 +193,22 @@ def cumulative_kernel_cost(model, kernel, grid) -> np.ndarray:
 
 
 def bisect_root(func, lo: float, hi: float, *, xtol: float = 1e-12, max_iter: int = 200) -> float:
-    """Plain bisection for a bracketed sign change; returns the midpoint."""
+    """Plain bisection for a bracketed sign change; returns the midpoint of the last bracket."""
     flo = func(lo)
     fhi = func(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    # compare signs, not a product, which underflows to zero for tiny values
+    if (flo < 0.0) == (fhi < 0.0):
         raise ValueError("root is not bracketed")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         fmid = func(mid)
-        if fmid == 0.0 or hi - lo < xtol:
+        if fmid == 0.0 or hi - lo < xtol or mid in (lo, hi):
             return mid
-        if flo * fmid < 0.0:
+        if (flo < 0.0) != (fmid < 0.0):
             hi = mid
         else:
             lo, flo = mid, fmid

@@ -292,8 +292,10 @@ class PricingKernel:
         top = f(peak)
         if top <= mu:
             return peak, peak, peak, top
-        lo = bisect_root(lambda s: f(s) - mu, 0.0, peak, xtol=1e-15)
-        hi = 1.0 if f(1.0) >= mu else bisect_root(lambda s: f(s) - mu, peak, 1.0, xtol=1e-15)
+        # edges to 1e-15 relative to the peak, however deep: 1100 halvings of [0, 1] pass the smallest subnormal
+        tol = dict(xtol=1e-15 * peak, max_iter=1100)
+        lo = bisect_root(lambda s: f(s) - mu, 0.0, peak, **tol)
+        hi = 1.0 if f(1.0) >= mu else bisect_root(lambda s: f(s) - mu, peak, 1.0, **tol)
         return lo, hi, peak, top
 
     def k_max(self) -> tuple[float, float]:

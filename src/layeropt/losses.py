@@ -18,7 +18,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, ndtr, ndtri
 
 
 class InfiniteMeanError(ValueError):
@@ -41,6 +40,13 @@ def _validate_prob(p):
     if np.any((arr <= 0.0) | (arr >= 1.0)):
         raise ValueError("probability must lie strictly inside (0, 1)")
     return arr
+
+
+def _special():
+    """scipy.special, imported on first use: only lognormal, gamma and portfolio-normal need it."""
+    import scipy.special
+
+    return scipy.special
 
 
 def _ret(arr):
@@ -239,29 +245,29 @@ class Lognormal(LossModel):
         x = _validate_level(x)
         with np.errstate(divide="ignore"):
             z = (np.log(np.maximum(x, 1e-300)) - self.mu) / self.sigma
-        return _ret(np.where(x <= 0.0, 0.0, ndtr(z)))
+        return _ret(np.where(x <= 0.0, 0.0, _special().ndtr(z)))
 
     def quantile(self, p):
         p = _validate_prob(p)
-        return _ret(np.exp(self.mu + self.sigma * ndtri(p)))
+        return _ret(np.exp(self.mu + self.sigma * _special().ndtri(p)))
 
     def sf(self, x):
         x = _validate_level(x)
         with np.errstate(divide="ignore"):
             z = (np.log(np.maximum(x, 1e-300)) - self.mu) / self.sigma
-        return _ret(np.where(x <= 0.0, 1.0, ndtr(-z)))
+        return _ret(np.where(x <= 0.0, 1.0, _special().ndtr(-z)))
 
     def isf(self, s):
         s = _validate_prob(s)
-        return _ret(np.exp(self.mu - self.sigma * ndtri(s)))
+        return _ret(np.exp(self.mu - self.sigma * _special().ndtri(s)))
 
     def tail_integral(self, t):
         # E(X - t)+ via the standard lognormal partial-moment identity
         t = _validate_level(t, "t")
         t_safe = np.maximum(t, 1e-300)
         d = (np.log(t_safe) - self.mu) / self.sigma
-        partial = self.mean * ndtr(self.sigma - d)
-        value = partial - t * ndtr(-d)
+        partial = self.mean * _special().ndtr(self.sigma - d)
+        value = partial - t * _special().ndtr(-d)
         return _ret(np.where(t <= 0.0, self.mean, value))
 
     def rescale(self, new_mean: float) -> "Lognormal":
@@ -292,26 +298,26 @@ class Gamma(LossModel):
 
     def cdf(self, x):
         x = _validate_level(x)
-        return _ret(gammainc(self.shape, x / self.scale))
+        return _ret(_special().gammainc(self.shape, x / self.scale))
 
     def quantile(self, p):
         p = _validate_prob(p)
-        return _ret(self.scale * gammaincinv(self.shape, p))
+        return _ret(self.scale * _special().gammaincinv(self.shape, p))
 
     def sf(self, x):
         x = _validate_level(x)
-        return _ret(gammaincc(self.shape, x / self.scale))
+        return _ret(_special().gammaincc(self.shape, x / self.scale))
 
     def isf(self, s):
         s = _validate_prob(s)
-        return _ret(self.scale * gammainccinv(self.shape, s))
+        return _ret(self.scale * _special().gammainccinv(self.shape, s))
 
     def tail_integral(self, t):
         # E[X; X > t] = mean * S_{shape+1}(t), then subtract t * survival
         t = _validate_level(t, "t")
         z = t / self.scale
-        partial = self.mean * gammaincc(self.shape + 1.0, z)
-        return _ret(partial - t * gammaincc(self.shape, z))
+        partial = self.mean * _special().gammaincc(self.shape + 1.0, z)
+        return _ret(partial - t * _special().gammaincc(self.shape, z))
 
     def rescale(self, new_mean: float) -> "Gamma":
         _check_positive(new_mean, "new_mean")
@@ -423,36 +429,24 @@ class EmpiricalTable(LossModel):
             out = np.where(s < surv[-1], tail, out)
         return _ret(out)
 
-    def _segment_tail_area(self):
-        # integral of 1 - F over each [x_i, x_{i+1}], plus the closing tail
-        xs, ps = np.asarray(self.xs), np.asarray(self.ps)
-        widths = np.diff(xs)
-        surv_mid = 1.0 - 0.5 * (ps[:-1] + ps[1:])
-        areas = widths * surv_mid
-        closing = 0.0 if self.ps[-1] >= 1.0 else (1.0 - self.ps[-1]) / self._tail_hazard
-        return areas, closing
-
     def tail_integral(self, t):
-        t_arr = np.ravel(_validate_level(t, "t"))
+        t = _validate_level(t, "t")
         xs, ps = np.asarray(self.xs), np.asarray(self.ps)
-        areas, closing = self._segment_tail_area()
+        # integral of 1 - F from each knot up, the closing exponential tail included
+        areas = np.diff(xs) * (1.0 - 0.5 * (ps[:-1] + ps[1:]))
+        closing = 0.0 if ps[-1] >= 1.0 else (1.0 - ps[-1]) / self._tail_hazard
         suffix = np.concatenate([np.cumsum(areas[::-1])[::-1], [0.0]]) + closing
-        out = np.empty(t_arr.size)
-        for i, tv in enumerate(t_arr):
-            if tv <= xs[0]:
-                out[i] = (xs[0] - tv) + suffix[0]
-            elif tv >= xs[-1]:
-                if self.ps[-1] >= 1.0:
-                    out[i] = 0.0
-                else:
-                    h = self._tail_hazard
-                    out[i] = (1.0 - ps[-1]) * math.exp(-h * (tv - xs[-1])) / h
-            else:
-                j = int(np.searchsorted(xs, tv, side="right")) - 1
-                s_t = 1.0 - float(np.interp(tv, xs, ps))
-                s_hi = 1.0 - ps[j + 1]
-                out[i] = (xs[j + 1] - tv) * 0.5 * (s_t + s_hi) + suffix[j + 1]
-        return _ret(out.reshape(np.shape(t)))
+        # inside the table: the trapezoid from t up to the next knot j, then the
+        # suffix; t is clipped so that the regions handled below stay finite
+        inner = np.clip(t, xs[0], xs[-1])
+        j = np.clip(np.searchsorted(xs, inner, side="right"), 1, xs.size - 1)
+        out = (xs[j] - inner) * 0.5 * ((1.0 - np.interp(inner, xs, ps)) + (1.0 - ps[j])) + suffix[j]
+        out = np.where(t <= xs[0], (xs[0] - t) + suffix[0], out)
+        tail = 0.0
+        if ps[-1] < 1.0:
+            h = self._tail_hazard
+            tail = (1.0 - ps[-1]) * np.exp(-h * (np.maximum(t, xs[-1]) - xs[-1])) / h
+        return _ret(np.where(t > xs[-1], tail, out))
 
     def rescale(self, new_mean: float) -> "EmpiricalTable":
         _check_positive(new_mean, "new_mean")
@@ -485,7 +479,7 @@ class PortfolioNormal(LossModel):
 
     @property
     def _keep(self) -> float:
-        return 1.0 - ndtr(self._z0)
+        return 1.0 - _special().ndtr(self._z0)
 
     @property
     def mean(self) -> float:
@@ -499,27 +493,27 @@ class PortfolioNormal(LossModel):
     def cdf(self, x):
         x = _validate_level(x)
         z = (x - self.location) / self.spread
-        return _ret((ndtr(z) - ndtr(self._z0)) / self._keep)
+        return _ret((_special().ndtr(z) - _special().ndtr(self._z0)) / self._keep)
 
     def quantile(self, p):
         p = _validate_prob(p)
-        p_full = p * self._keep + ndtr(self._z0)
-        return _ret(self.location + self.spread * ndtri(p_full))
+        p_full = p * self._keep + _special().ndtr(self._z0)
+        return _ret(self.location + self.spread * _special().ndtri(p_full))
 
     def sf(self, x):
         x = _validate_level(x)
-        return _ret(ndtr((self.location - x) / self.spread) / self._keep)
+        return _ret(_special().ndtr((self.location - x) / self.spread) / self._keep)
 
     def isf(self, s):
         s = _validate_prob(s)
-        return _ret(self.location - self.spread * ndtri(s * self._keep))
+        return _ret(self.location - self.spread * _special().ndtri(s * self._keep))
 
     def tail_integral(self, t):
         # E(X - t)+ of the untruncated normal, scaled by the kept mass
         t = _validate_level(t, "t")
         d = (t - self.location) / self.spread
         phi = np.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
-        plain = (self.location - t) * ndtr(-d) + self.spread * phi
+        plain = (self.location - t) * _special().ndtr(-d) + self.spread * phi
         return _ret(plain / self._keep)
 
     def rescale(self, new_mean: float) -> "PortfolioNormal":

@@ -183,29 +183,84 @@ def test_unbounded_cost_deep_in_the_tail():
 
 ROOT = Path(__file__).resolve().parents[1]
 
-_NO_SCIPY_INTEGRATE = """
+_NUMPY_ONLY = """
 import sys
 import layeropt
-from layeropt.cli import COMMANDS, main
+from layeropt.cli import main
 
-for command in COMMANDS:
-    assert main(["--config", sys.argv[1], "--command", command, "--out", sys.argv[2]]) == 0, command
-for measure in ("var", "cvar"):
-    market = layeropt.MarketSpec(gamma=0.1, epsilon=0.05, risk_measure=measure)
-    layeropt.best_truncated_stop_loss(layeropt.Exponential(1.0), layeropt.quadratic_kernel(0.5, 0.1), market)
+config, pareto_config, out = sys.argv[1:]
+for command in ("check", "optimize", "evaluate", "sweep"):
+    assert main(["--config", config, "--command", command, "--out", out]) == 0, command
+assert main(["--config", pareto_config, "--out", out]) == 0, "pareto evaluate"
+models = (
+    layeropt.Exponential(1.0),
+    layeropt.Pareto.with_mean(2.0),
+    layeropt.EmpiricalTable((0.0, 0.5, 2.0, 5.0), (0.1, 0.4, 0.8, 0.97)),
+)
+kernel = layeropt.quadratic_kernel(0.5, 0.1)
+for model in models:
+    for measure in ("var", "cvar"):
+        market = layeropt.MarketSpec(gamma=0.1, epsilon=0.05, risk_measure=measure)
+        layeropt.best_truncated_stop_loss(model, kernel, market)
+        layeropt.dinkelbach_optimize(model, kernel, market)
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+_ASYMPTOTICS = """
+import sys
+from layeropt.cli import main
+
+assert main(["--config", sys.argv[1], "--command", "asymptotics", "--out", sys.argv[2]]) == 0
+assert "scipy.special" in sys.modules
 loaded = sorted(name for name in sys.modules if name.startswith(("scipy.integrate", "scipy.optimize")))
 assert not loaded, loaded
 """
 
+_PARETO2_EVALUATE = """
+[model]
+family = pareto
+shape = 2.0
+mean = 1.0
 
-def test_no_command_imports_scipy_integrate(tmp_path):
-    # every CLI command on the baseline config and the stop-loss search under
-    # both measures, in one fresh interpreter: neither scipy.integrate nor
-    # scipy.optimize is loaded
-    result = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_INTEGRATE, str(ROOT / "demos" / "baseline.ini"), str(tmp_path / "out.csv")],
+[kernel]
+family = quadratic
+c = 0.5
+gamma_r = 0.1
+
+[market]
+gamma = 0.1
+epsilon = 0.05
+risk_measure = var
+
+[run]
+command = evaluate
+
+[contract]
+layers = [[1.0, inf]]
+"""
+
+
+def _fresh_interpreter(script, *args):
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
+
+
+def test_numpy_only_paths_never_import_scipy(tmp_path):
+    # import, four CLI commands on the baseline, a Pareto(2) evaluate and both
+    # solvers on exponential, Pareto and empirical-table losses under both
+    # measures, in one fresh interpreter: no scipy module is loaded at all
+    pareto_config = tmp_path / "pareto2.ini"
+    pareto_config.write_text(_PARETO2_EVALUATE)
+    result = _fresh_interpreter(_NUMPY_ONLY, ROOT / "demos" / "baseline.ini", pareto_config, tmp_path / "out.csv")
+    assert result.returncode == 0, result.stderr
+
+
+def test_asymptotics_loads_only_scipy_special(tmp_path):
+    # the portfolio-normal model needs ndtr and ndtri, and nothing else of scipy
+    result = _fresh_interpreter(_ASYMPTOTICS, ROOT / "demos" / "baseline.ini", tmp_path / "out.csv")
     assert result.returncode == 0, result.stderr
 
 

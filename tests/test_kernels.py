@@ -8,10 +8,13 @@ import pytest
 from layeropt import (
     CappedLinearDistortion,
     DistortionCurve,
+    Exponential,
+    MarketSpec,
     PowerDistortion,
     PricingKernel,
     QuadraticCurve,
     from_distortion,
+    lagrange_optimum,
     quadratic_kernel,
 )
 
@@ -235,3 +238,28 @@ def test_crossings_bound_the_level_set(kernel, slope, fraction):
     outside = s[(s < lo - 1e-9) | (s > hi + 1e-9)]
     assert np.all(f(inside) > mu)
     assert np.all(f(outside) < mu)
+
+
+@pytest.mark.parametrize(
+    "exponent, slope, rel",
+    [(0.99, 0.6, 1e-12), (0.999, 1.0, 1e-12), (0.999, 1.142, 1e-11)],
+    ids=["below-1e-15", "below-1e-280", "subnormal"],
+)
+def test_crossings_locate_edges_far_below_the_absolute_tolerance(exponent, slope, rel):
+    # with gamma_r = 0.05, K(1 - s) - slope s = 1.05 s**r - (1 + slope) s, whose
+    # upper root is s = (1.05 / (1 + slope))**(1 / (1 - r)): 5.1e-19, 1.4e-280
+    # and a subnormal 2.3e-310 here, each within a factor e of the peak
+    kernel = from_distortion(PowerDistortion(exponent), 0.05)
+    lo, hi, peak, top = kernel.crossings(0.0, slope)
+    root = (1.05 / (1.0 + slope)) ** (1.0 / (1.0 - exponent))
+    assert top > 0.0 and lo == 0.0 and peak < hi
+    assert hi == pytest.approx(root, rel=rel, abs=0.0)
+
+
+def test_cvar_detachment_below_the_absolute_tolerance():
+    # the CVaR tail run detaches where K(1 - s) = (mu / eps) s, at survival
+    # level (1.6 / 1.05)**-100 = 5.1e-19, that is x = 100 ln(1.6 / 1.05)
+    kernel = from_distortion(PowerDistortion(0.99), 0.05)
+    market = MarketSpec(gamma=0.03, epsilon=0.05, risk_measure="cvar")
+    schedule = lagrange_optimum(0.03, Exponential(1.0), kernel, market)
+    assert schedule.breakpoints[-1] == pytest.approx(100.0 * math.log(1.6 / 1.05), rel=1e-12, abs=0.0)

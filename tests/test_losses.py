@@ -124,6 +124,41 @@ class TestEmpiricalTable:
         with pytest.raises(DegenerateTailError):
             m.tail_expectation(2.5)
 
+    @pytest.mark.parametrize(
+        "xs, ps",
+        [
+            ((0.0, 0.5, 2.0, 5.0), (0.1, 0.4, 0.8, 0.97)),
+            ((0.5, 1.0, 2.0, 4.0), (0.0, 0.3, 0.7, 0.9)),
+            ((1.0, 2.0, 3.0), (0.0, 0.5, 1.0)),
+        ],
+        ids=["atom-at-zero", "no-atom", "ends-at-one"],
+    )
+    def test_tail_integral_matches_scalar_formula(self, xs, ps):
+        m = EmpiricalTable(xs, ps)
+
+        def scalar(t):
+            # below the table, the trapezoid up to the next knot plus the
+            # segments above it, or the closing exponential tail
+            areas = [(b - a) * (1.0 - 0.5 * (p + q)) for a, b, p, q in zip(xs, xs[1:], ps, ps[1:])]
+            h = 0.0 if ps[-1] >= 1.0 else (ps[-1] - ps[-2]) / (xs[-1] - xs[-2]) / (1.0 - ps[-1])
+            closing = 0.0 if ps[-1] >= 1.0 else (1.0 - ps[-1]) / h
+            if t <= xs[0]:
+                return (xs[0] - t) + sum(areas) + closing
+            if t >= xs[-1]:
+                return 0.0 if ps[-1] >= 1.0 else (1.0 - ps[-1]) * math.exp(-h * (t - xs[-1])) / h
+            j = next(i for i in range(len(xs) - 1) if xs[i] <= t < xs[i + 1])
+            s_t = 1.0 - (ps[j] + (ps[j + 1] - ps[j]) * (t - xs[j]) / (xs[j + 1] - xs[j]))
+            return (xs[j + 1] - t) * 0.5 * (s_t + 1.0 - ps[j + 1]) + sum(areas[j + 1:]) + closing
+
+        mids = [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
+        points = sorted({0.0, 0.5 * xs[0], *xs, *mids, xs[-1] + 0.3, xs[-1] + 40.0, 1e6, math.inf})
+        want = np.array([scalar(t) for t in points])
+        got = np.asarray(m.tail_integral(np.array(points)))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert [m.tail_integral(t) for t in points] == pytest.approx(want, rel=1e-14, abs=0.0)
+        grid = np.array(points[: len(points) // 2 * 2]).reshape(2, -1)
+        np.testing.assert_array_equal(m.tail_integral(grid), got[: grid.size].reshape(grid.shape))
+
 
 DEEP_SURVIVAL = (1e-6, 1e-15, 1e-17, 1e-100, 1e-300)
 
