@@ -103,12 +103,12 @@ def _tail_cost(model, curve, a: float) -> float:
     while True:
         rest = _geometric_rest(*pieces[-2:]) if len(pieces) > 1 else math.inf
         if abs(rest) <= 1e-16 * abs(total):
-            return total + rest
+            return float(total + rest)
         more = _octave_edges(model, s_last, _OCTAVES)
         if len(more) == 0:
             if math.isinf(rest):
                 raise ValueError("kernel cost integral does not converge on the tail")
-            return total + rest
+            return float(total + rest)
         # keep the previous block's last piece: a short block may hold a single piece
         pieces = np.concatenate([pieces[-1:], _panel_costs(model, curve, np.concatenate([[x_last], more[:-1]]), more)])
         total += math.fsum(pieces[1:])

@@ -35,7 +35,7 @@ POSSIBLY_MULTI_LAYER = "possibly-multi-layer"
 TRIVIAL_INFINITE_RATIO = "trivial-infinite-ratio"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionReport:
     loading_ok: bool
     loading_margin: float

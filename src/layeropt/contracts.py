@@ -18,7 +18,7 @@ import numpy as np
 _SLOPE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Layer:
     """A full-cession interval; detachment may be infinite."""
 
@@ -34,7 +34,7 @@ class Layer:
         return self.detachment - self.attachment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndemnitySchedule:
     breakpoints: tuple[float, ...]
     slopes: tuple[float, ...]
@@ -99,8 +99,12 @@ class IndemnitySchedule:
         return "; ".join(segs)
 
 
+_ZERO = IndemnitySchedule((0.0,), (0.0,))
+
+
 def zero_schedule() -> IndemnitySchedule:
-    return IndemnitySchedule((0.0,), (0.0,))
+    """No cession; one shared instance, since schedules are immutable."""
+    return _ZERO
 
 
 def full_cession() -> IndemnitySchedule:

@@ -13,9 +13,13 @@ tail of index alpha has a finite price iff alpha * p > 1) and the survival
 levels where it is not smooth (``survival_knots``).
 
 Every curve gives in closed form the s where K0(1 - s) + t * s peaks
-(``tilted_peak``).  From it ``PricingKernel.crossings`` finds the one interval
-where the concave s -> K(1 - s) - slope * s is at least a level mu: layer
-edges, the CVaR detachment, the critical attachment and ``k_max`` all use it.
+(``tilted_peak``) and the edges of the interval where it is at least a level m
+(``level_edges``): the quadratic and capped-linear curves everywhere, the
+power curve at m = 0.  Elsewhere, as for curves that users subclass, the
+edges fall back to bisection on each side of the peak.  From these
+``PricingKernel.crossings`` finds the one interval where the concave
+s -> K(1 - s) - slope * s is at least a level mu: layer edges, the CVaR
+detachment, the critical attachment and ``k_max`` all use it.
 """
 
 from __future__ import annotations
@@ -39,6 +43,11 @@ def _validate_unit(u):
     return arr
 
 
+def _around(peak: float, lo: float, hi: float) -> tuple[float, float]:
+    """Level-set edges clipped to [0, peak] and [peak, 1], where rounding may have put them."""
+    return min(max(lo, 0.0), peak), max(min(hi, 1.0), peak)
+
+
 class Distortion(ABC):
     """Concave distortion g on [0, 1] with g(0) = 0, g(1) = 1, g(s) >= s."""
 
@@ -52,6 +61,11 @@ class Distortion(ABC):
     @abstractmethod
     def tilted_peak(self, tau: float) -> float:
         """The s in [0, 1] maximizing g(s) - tau * s."""
+
+    def level_edges(self, t: float, m: float) -> tuple[float, float] | None:
+        """Edges of {s in [0, 1] : g(s) - s + t * s >= m}, the induced curve's level set
+        (``BaseCurve.level_edges``), in closed form; None where there is none."""
+        return None
 
     @property
     @abstractmethod
@@ -87,6 +101,13 @@ class PowerDistortion(Distortion):
         # g'(s) = r s**(r - 1) falls to tau at s = (r / tau)**(1 / (1 - r)), beyond 1 when tau <= r
         return 1.0 if tau <= r else (r / tau) ** (1.0 / (1.0 - r))
 
+    def level_edges(self, t: float, m: float) -> tuple[float, float] | None:
+        if m != 0.0:
+            return None
+        # s**r >= (1 - t) * s holds from 0 up to s**(r - 1) = 1 - t, beyond 1 when t >= 0
+        r, tau = self.exponent, 1.0 - t
+        return 0.0, 1.0 if tau <= 1.0 else 0.0 if r >= 1.0 else tau ** (-1.0 / (1.0 - r))
+
     @property
     def survival_exponent(self) -> float:
         return min(self.exponent, 1.0)
@@ -110,6 +131,20 @@ class CappedLinearDistortion(Distortion):
 
     def tilted_peak(self, tau: float) -> float:
         return 1.0 if tau <= 0.0 else 1.0 / self.slope if tau < self.slope else 0.0
+
+    def level_edges(self, t: float, m: float) -> tuple[float, float]:
+        # g(s) - s + t * s = min((slope - 1 + t) * s, 1 - (1 - t) * s): at least m where both lines are
+        rise, fall = self.slope - 1.0 + t, 1.0 - t
+        lo, hi = 0.0, 1.0
+        if rise > 0.0:
+            lo = m / rise
+        elif rise < 0.0:
+            hi = m / rise
+        if fall > 0.0:
+            hi = min(hi, (1.0 - m) / fall)
+        elif fall < 0.0:
+            lo = max(lo, (1.0 - m) / fall)
+        return _around(self.tilted_peak(fall), lo, hi)
 
     @property
     def survival_exponent(self) -> float:
@@ -135,6 +170,27 @@ class BaseCurve(ABC):
     @abstractmethod
     def tilted_peak(self, t: float) -> float:
         """The s in [0, 1] maximizing K0(1 - s) + t * s."""
+
+    def level_edges(self, t: float, m: float) -> tuple[float, float]:
+        """Edges (lo, hi) of {s in [0, 1] : K0(1 - s) + t * s >= m}, an interval
+        around ``tilted_peak(t)``; callers ensure m is below the value there.
+
+        This default bisects each side of the peak to 1e-15 relative to the
+        peak, however deep: 1100 halvings of [0, 1] pass the smallest
+        subnormal.  Curves with a closed form override it.
+        """
+        peak = self.tilted_peak(t)
+
+        def excess(s):
+            # range-checked like the kernel's public evaluations; ROADMAP item 1 says why the check stays for now
+            return float(self.survival_value(_validate_unit(s))) + t * s - m
+
+        if excess(peak) <= 0.0:  # a level within rounding of the peak value
+            return peak, peak
+        tol = dict(xtol=1e-15 * peak, max_iter=1100)
+        lo = bisect_root(excess, 0.0, peak, **tol)
+        hi = 1.0 if excess(1.0) >= 0.0 else bisect_root(excess, peak, 1.0, **tol)
+        return lo, hi
 
     @property
     @abstractmethod
@@ -181,6 +237,13 @@ class QuadraticCurve(BaseCurve):
     def tilted_peak(self, t: float) -> float:
         return min(max(0.5 + 0.5 * t / self.c, 0.0), 1.0)
 
+    def level_edges(self, t: float, m: float) -> tuple[float, float]:
+        # roots of c s**2 - (c + t) s + m as the stable pair q / c and m / q
+        c, b = self.c, self.c + t
+        q = 0.5 * (b + math.sqrt(max(b * b - 4.0 * c * m, 0.0)))
+        peak = self.tilted_peak(t)
+        return (peak, peak) if q <= 0.0 else _around(peak, m / q, q / c)
+
     @property
     def survival_exponent(self) -> float:
         return 1.0
@@ -206,6 +269,10 @@ class DistortionCurve(BaseCurve):
 
     def tilted_peak(self, t: float) -> float:
         return self.distortion.tilted_peak(1.0 - t)
+
+    def level_edges(self, t: float, m: float) -> tuple[float, float]:
+        edges = self.distortion.level_edges(t, m)
+        return super().level_edges(t, m) if edges is None else edges
 
     @property
     def survival_exponent(self) -> float:
@@ -288,15 +355,14 @@ class PricingKernel:
         def f(s):
             return self.survival_value(s) - slope * s
 
-        peak = self.base.tilted_peak((self.gamma_r - slope) / (1.0 + self.gamma_r))
+        # f(s) = (1 + gamma_r) * (K0(1 - s) + t * s), so f >= mu where K0(1 - s) + t * s >= m
+        t = (self.gamma_r - slope) / (1.0 + self.gamma_r)
+        peak = self.base.tilted_peak(t)
         top = f(peak)
         if top <= mu:
             return peak, peak, peak, top
-        # edges to 1e-15 relative to the peak, however deep: 1100 halvings of [0, 1] pass the smallest subnormal
-        tol = dict(xtol=1e-15 * peak, max_iter=1100)
-        lo = bisect_root(lambda s: f(s) - mu, 0.0, peak, **tol)
-        hi = 1.0 if f(1.0) >= mu else bisect_root(lambda s: f(s) - mu, peak, 1.0, **tol)
-        return lo, hi, peak, top
+        lo, hi = self.base.level_edges(t, mu / (1.0 + self.gamma_r))
+        return lo, 1.0 if f(1.0) >= mu else hi, peak, top
 
     def k_max(self) -> tuple[float, float]:
         """(argmax, max) of the loaded kernel on [0, 1]."""

@@ -34,7 +34,7 @@ from .valuation import CVAR, MarketSpec, NonpositiveRiskError, Valuation, criter
 _WIDTH_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptimResult:
     schedule: IndemnitySchedule
     valuation: Valuation
@@ -43,7 +43,7 @@ class OptimResult:
     classification: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttachmentResult:
     attachment: float
     ratio: float
@@ -56,8 +56,10 @@ def _classify(layer_count: int) -> str:
     return "single-layer" if layer_count == 1 else "multi-layer"
 
 
-def _finish(schedule: IndemnitySchedule, model, kernel, market, mu_trace=()) -> OptimResult:
-    valuation = criterion(model, kernel, schedule, market)
+def _finish(schedule: IndemnitySchedule, model, kernel, market, mu_trace=(), valuation=None) -> OptimResult:
+    """Result for ``schedule``, priced under ``market`` unless its ``valuation`` is given."""
+    if valuation is None:
+        valuation = criterion(model, kernel, schedule, market)
     lays = schedule.layers()
     return OptimResult(schedule, valuation, tuple(mu_trace), len(lays), _classify(len(lays)))
 
@@ -153,15 +155,16 @@ def _dinkelbach(step, model, kernel, market: MarketSpec, mu0, tol: float, max_it
     """Dinkelbach iteration over the schedules ``step(mu, ...)`` may return."""
     _check_positive(tol, "multiplier tolerance")
     market0 = replace(market, beta=0.0)
-    floor = criterion(model, kernel, zero_schedule(), market0).ratio
+    no_cession = criterion(model, kernel, zero_schedule(), market0)
+    floor = no_cession.ratio
     mu = floor if mu0 is None else float(mu0)
     trace = [mu]
-    schedule = zero_schedule()
+    schedule, value = zero_schedule(), None
     restarted = False
     for _ in range(max_iter):
-        schedule = step(mu, model, kernel, market0)
+        schedule, value = step(mu, model, kernel, market0), None
         try:
-            value = criterion(model, kernel, schedule, market0)
+            value = no_cession if schedule.is_zero else criterion(model, kernel, schedule, market0)
         except NonpositiveRiskError as exc:
             profit = expected_profit(model, kernel, schedule, market0)
             if profit > 0.0:
@@ -181,7 +184,8 @@ def _dinkelbach(step, model, kernel, market: MarketSpec, mu0, tol: float, max_it
             mu = new_mu
             break
         mu = new_mu
-    return _finish(schedule, model, kernel, market, trace)
+    # the last iterate's valuation is the result's unless beta shifts it
+    return _finish(schedule, model, kernel, market, trace, value if market.beta == 0.0 else None)
 
 
 def dinkelbach_optimize(

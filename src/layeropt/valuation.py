@@ -48,7 +48,7 @@ class MarketSpec:
         object.__setattr__(self, "risk_measure", measure)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Valuation:
     surplus: float
     profit: float

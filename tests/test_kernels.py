@@ -1,6 +1,7 @@
 """Tests for pricing kernels and distortions."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from layeropt import (
     lagrange_optimum,
     quadratic_kernel,
 )
+from layeropt.kernels import BaseCurve
 
 BASELINE = quadratic_kernel(0.5, 0.1)
 
@@ -263,3 +265,132 @@ def test_cvar_detachment_below_the_absolute_tolerance():
     market = MarketSpec(gamma=0.03, epsilon=0.05, risk_measure="cvar")
     schedule = lagrange_optimum(0.03, Exponential(1.0), kernel, market)
     assert schedule.breakpoints[-1] == pytest.approx(100.0 * math.log(1.6 / 1.05), rel=1e-12, abs=0.0)
+
+
+def _tilted(curve, t, s):
+    return np.asarray(curve.survival_value(s)) + t * np.asarray(s)
+
+
+CAPPED = DistortionCurve(CappedLinearDistortion(3.0))
+# (curve, tilts): the capped-linear tilts include t = 1, where its peak jumps, its neighbours, and
+# t just above 1 - slope, where the curve rises from flat zero
+CLOSED_FORM_CURVES = [
+    (QuadraticCurve(0.5), [-0.4, -0.01, 0.0, 0.05, 0.3, 0.9, 2.0]),
+    (QuadraticCurve(0.05), [-0.04, 0.0, 0.01, 0.2]),
+    (QuadraticCurve(1.0), [-0.5, 0.0, 0.999, 1.0]),
+    (CAPPED, [-2.0 + 1e-6, -1.9, -0.5, 0.0, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5]),
+    (DistortionCurve(CappedLinearDistortion(1.0)), [1e-6, 0.3, 1.0]),
+]
+LEVELS = {"zero": 0.0, "near-zero": 1e-6, "middle": 0.5, "near-top": 1.0 - 1e-12}
+# where the curve rises by 1e-6, its evaluation (min(3 s, 1) - s + t s, terms of order 1) is noise at 1e-10
+# of the edge's location, which the bisection follows and the closed form does not
+NOISY_EVALUATION = {(CAPPED, -2.0 + 1e-6)}
+
+
+def _edge_cases():
+    for curve, tilts in CLOSED_FORM_CURVES:
+        for t in tilts:
+            for name in LEVELS:
+                yield pytest.param(curve, t, name, id=f"{curve!r}-t={t!r}-{name}")
+
+
+def _assert_level_set(curve, t, m, lo, hi, top):
+    """Edges hit the level, with the level set strictly inside them and strictly below it outside."""
+    peak = curve.tilted_peak(t)
+    assert 0.0 <= lo <= peak <= hi <= 1.0
+    scale = 1e-13 * max(1.0, top)
+    assert abs(float(_tilted(curve, t, lo)) - m) <= scale
+    if hi < 1.0:
+        assert abs(float(_tilted(curve, t, hi)) - m) <= scale
+    else:
+        assert float(_tilted(curve, t, 1.0)) >= m - scale
+    s = np.linspace(0.0, 1.0, 100_001)
+    inside = s[(s > lo + 1e-9) & (s < hi - 1e-9)]
+    outside = s[(s < lo - 1e-9) | (s > hi + 1e-9)]
+    assert np.all(_tilted(curve, t, inside) > m)
+    assert np.all(_tilted(curve, t, outside) < m)
+
+
+@pytest.mark.parametrize("curve, t, level", _edge_cases())
+def test_level_edges_closed_forms(curve, t, level):
+    peak = curve.tilted_peak(t)
+    top = float(_tilted(curve, t, peak))
+    m = LEVELS[level] * top
+    assert top > max(m, 0.0)
+    lo, hi = curve.level_edges(t, m)
+    _assert_level_set(curve, t, m, lo, hi, top)
+    if level != "near-top" and (curve, t) not in NOISY_EVALUATION:
+        # the bisection default agrees to its own resolution; near the top the root is ill conditioned
+        # (the edges move by sqrt(top - m)), so there only the residuals above are asserted
+        for edge, bisected in zip((lo, hi), BaseCurve.level_edges(curve, t, m)):
+            assert edge == pytest.approx(bisected, rel=1e-13, abs=1e-15 * peak)
+
+
+@pytest.mark.parametrize(
+    "exponent, slope",
+    [(0.6, 0.5), (0.6, 3.0), (0.99, 0.6), (0.999, 1.0), (0.999, 1.142)],
+    ids=["power-0.6", "power-0.6-steep", "below-1e-15", "below-1e-280", "subnormal"],
+)
+def test_power_level_edges_at_zero_are_closed_form(exponent, slope):
+    # at m = 0, K0(1 - s) + t s = s**r - tau s with tau = 1 - t, which is positive up to tau**(-1 / (1 - r))
+    curve = DistortionCurve(PowerDistortion(exponent))
+    t = (0.05 - slope) / 1.05
+    lo, hi = curve.level_edges(t, 0.0)
+    assert lo == 0.0
+    assert hi == (1.0 - t) ** (-1.0 / (1.0 - exponent))
+    assert float(_tilted(curve, t, hi * (1.0 - 1e-6))) > 0.0 > float(_tilted(curve, t, hi * (1.0 + 1e-6)))
+    assert abs(float(_tilted(curve, t, hi))) <= 1e-13
+    assert hi == pytest.approx(BaseCurve.level_edges(curve, t, 0.0)[1], rel=1e-11, abs=0.0)
+
+
+def test_closed_forms_bisect_nothing(monkeypatch):
+    import layeropt.kernels as kernels
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bisected an edge that has a closed form")
+
+    monkeypatch.setattr(kernels, "bisect_root", refuse)
+    for kernel in (BASELINE, quadratic_kernel(1.0, 0.0), from_distortion(CappedLinearDistortion(3.0), 0.1)):
+        kernel.crossings(0.5 * kernel.k_max()[1])
+    power = from_distortion(PowerDistortion(0.6), 0.2)
+    power.crossings(0.0, 0.5)  # the power curve has a closed form at level 0 only
+    with pytest.raises(AssertionError, match="bisected"):
+        power.crossings(0.01)
+
+
+@dataclass(frozen=True)
+class SineCurve(BaseCurve):
+    """K0(u) = c sin(pi u) / pi, a user curve without closed-form level edges."""
+
+    c: float
+
+    def value(self, u):
+        return self.c * np.sin(np.pi * np.asarray(u, dtype=float)) / np.pi
+
+    def survival_value(self, s):
+        return self.c * np.sin(np.pi * np.asarray(s, dtype=float)) / np.pi
+
+    def tilted_peak(self, t):
+        return float(np.arccos(min(max(-t / self.c, -1.0), 1.0)) / np.pi)
+
+    @property
+    def survival_exponent(self):
+        return 1.0
+
+    @property
+    def slope_at_zero(self):
+        return self.c
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.3, 0.9])
+def test_user_curve_gets_edges_from_the_bisection_default(fraction):
+    # with slope = gamma_r the tilt vanishes, so K0(1 - s) = m at s = asin(pi m / c) / pi and at 1 minus that
+    kernel = PricingKernel(SineCurve(0.5), 0.1)
+    _, _, peak, top = kernel.crossings(0.0, 0.1)
+    assert peak == 0.5
+    mu = fraction * top
+    lo, hi, _, _ = kernel.crossings(mu, 0.1)
+    root = math.asin(math.pi * mu / 1.1 / 0.5) / math.pi
+    assert lo == pytest.approx(root, rel=1e-13, abs=1e-15)
+    assert hi == pytest.approx(1.0 - root, rel=1e-13, abs=1e-15)
+    _assert_level_set(kernel.base, 0.0, mu / 1.1, lo, hi, top / 1.1)

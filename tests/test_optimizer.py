@@ -1,6 +1,9 @@
 """Tests for the multiplier analysis and the ratio optimizers."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from layeropt import (
     CVAR,
     VAR,
+    AttachmentResult,
     CappedLinearDistortion,
     EmpiricalTable,
     Exponential,
@@ -19,9 +23,12 @@ from layeropt import (
     Lognormal,
     MarketSpec,
     NonpositiveRiskError,
+    OptimResult,
     Pareto,
     PowerDistortion,
+    Valuation,
     best_truncated_stop_loss,
+    check_conditions,
     criterion,
     dinkelbach_optimize,
     discrete_bruteforce_oracle,
@@ -32,6 +39,7 @@ from layeropt import (
     quadratic_kernel,
     retained_risk,
     solve_attachment_fixed_point,
+    truncated_stop_loss,
     zero_schedule,
 )
 from layeropt._integrate import cumulative_kernel_cost, kernel_cost, purchasable
@@ -505,3 +513,56 @@ def test_lagrange_optimum_cedes_exactly_where_gain_is_positive(instance):
     model, kernel, market, mu = instance
     schedule = lagrange_optimum(mu, model, kernel, market)
     assert _sign_mismatches(schedule, mu, model, kernel, market).size == 0
+
+
+def _value_types():
+    schedule = truncated_stop_loss(1.0, 3.0)
+    valuation = Valuation(surplus=0.05, profit=0.05, risk=2.5, ratio=0.02)
+    return [
+        OptimResult(schedule, valuation, (0.01, 0.02), 1, "single-layer"),
+        AttachmentResult(1.0, 0.02, False),
+        valuation,
+        schedule,
+        Layer(1.0, 3.0),
+        check_conditions(MODEL, KERNEL, VAR_MARKET),
+    ]
+
+
+@pytest.mark.parametrize("value", _value_types(), ids=lambda v: type(v).__name__)
+def test_result_types_are_slotted_values(value):
+    assert not hasattr(value, "__dict__")
+    for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert clone == value and type(clone) is type(value)
+        assert hash(clone) == hash(value)
+
+
+def test_unbounded_results_hold_python_floats():
+    # the tail engine's geometric remainder is a numpy scalar; results must not carry it
+    model, market = Pareto.with_mean(3.0, 1.0), MarketSpec(0.1, 0.05, "cvar")
+    assert type(kernel_cost(model, KERNEL, 1.0, math.inf)) is float
+    result = best_truncated_stop_loss(model, KERNEL, market)
+    assert result.schedule.slopes[-1] == 1.0  # an unbounded layer
+    assert all(type(getattr(result.valuation, f.name)) is float for f in dataclasses.fields(result.valuation))
+    assert all(type(mu) is float for mu in result.mu_trace)
+
+
+@pytest.mark.parametrize("solve", [dinkelbach_optimize, best_truncated_stop_loss])
+def test_returned_schedule_is_priced_once(monkeypatch, solve):
+    import layeropt.optimizer as optimizer
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return criterion(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "criterion", counted)
+    counts = []
+    for beta in (0.0, 0.3):
+        market = dataclasses.replace(VAR_MARKET, beta=beta)
+        calls.clear()
+        result = solve(MODEL, KERNEL, market)
+        counts.append(len(calls))
+        assert result.valuation == criterion(MODEL, KERNEL, result.schedule, market)
+    # beta shifts every ratio alike, so both runs take the same iterates; only beta > 0 prices the result again
+    assert counts[0] == counts[1] - 1
