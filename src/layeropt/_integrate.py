@@ -175,11 +175,6 @@ def curve_cost(model, curve, a: float, b: float, *, tol: float = 1e-10) -> float
     return _finite_cost(model, curve, a, b, tol)
 
 
-def kernel_cost(model, kernel, a: float, b: float, *, tol: float = 1e-10) -> float:
-    """Integral of the loaded kernel K(F(x)) over [a, b]."""
-    return curve_cost(model, kernel, a, b, tol=tol)
-
-
 def cumulative_kernel_cost(model, kernel, grid) -> np.ndarray:
     """Cumulative integral of K(F(x)) along a sorted grid (knots must be in it).
 

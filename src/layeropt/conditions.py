@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from ._integrate import bisect_root, curve_cost, kernel_cost
+from ._integrate import bisect_root, curve_cost
 from .kernels import BaseCurve, PricingKernel, QuadraticCurve
 from .losses import Pareto, portfolio_normal_model
 from .valuation import VAR, MarketSpec
@@ -60,7 +60,7 @@ def check_conditions(model, kernel: PricingKernel, market: MarketSpec, *, tol: f
     x_eps = model.var_level(market.epsilon)
     tail_lhs = kernel.k0_prime_at_zero * float(model.tail_integral(x_eps))
     tail_rhs = curve_cost(model, kernel.base, 0.0, x_eps, tol=tol)
-    solvency_value = market.gamma * model.mean - kernel_cost(model, kernel, 0.0, x_eps, tol=tol)
+    solvency_value = market.gamma * model.mean - curve_cost(model, kernel, 0.0, x_eps, tol=tol)
     loading_margin = kernel.gamma_r - market.gamma
     quantile_margin = x_eps - model.mean
 
@@ -103,7 +103,7 @@ def attachment_balance(a: float, gamma: float, model, base: BaseCurve, market: M
     if not (0.0 <= a <= x_eps):
         raise ValueError("attachment must lie between 0 and the VaR level")
     kernel = PricingKernel(base, gamma)
-    return a * float(kernel.k(model.cdf(a))) + kernel_cost(model, kernel, a, x_eps, tol=tol)
+    return a * float(kernel.survival_value(model.sf(a))) + curve_cost(model, kernel, a, x_eps, tol=tol)
 
 
 def gamma_lower_exact(base: BaseCurve, epsilon: float) -> float:
@@ -116,8 +116,7 @@ def gamma_lower_exact(base: BaseCurve, epsilon: float) -> float:
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    u = 1.0 - epsilon
-    s = float(base.value(u)) / u
+    s = float(base.survival_value(epsilon)) / (1.0 - epsilon)
     if s >= 1.0:
         raise ValueError("base curve too steep at the retained quantile")
     return s / (1.0 - s)
@@ -135,14 +134,16 @@ def critical_attachment(gamma: float, model, base: BaseCurve, epsilon: float) ->
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    g_lo = float(base.value(1.0 - epsilon))
+    g_lo = float(base.survival_value(epsilon))
     g_hi = base.gamma_upper()
     if gamma < g_lo - 1e-12 or gamma > g_hi + 1e-12:
         raise ValueError(f"gamma={gamma:g} outside the loading interval [{g_lo:g}, {g_hi:g}]")
     s_root, _, _, top = PricingKernel(base, gamma).crossings(gamma)
     if top <= gamma:
         return 0.0
-    return model.var_level(epsilon) if s_root <= epsilon else float(model.isf(s_root))
+    x_eps = model.var_level(epsilon)
+    # isf and the quantile behind the VaR level round differently, so cap the former
+    return x_eps if s_root <= epsilon else min(float(model.isf(s_root)), x_eps)
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ def asymptotic_profit_gaps(n_values, unit_mean: float, unit_sd: float, kernel: P
             raise ValueError("the normal approximation needs n >= 10")
         model = portfolio_normal_model(n, unit_mean, unit_sd)
         x_eps = model.var_level(market.epsilon)
-        cost = kernel_cost(model, kernel, 0.0, x_eps, tol=1e-11)
+        cost = curve_cost(model, kernel, 0.0, x_eps, tol=1e-11)
         mean = model.mean
         ratio = (market.gamma * mean - cost) / mean
         gap = abs(ratio - (market.gamma - kernel.gamma_r))

@@ -6,11 +6,14 @@ concave curve with K0(0) = K0(1) = 0 and gamma_r = K(0) is the flat loading.
 K0 either comes from the quadratic family c*(u - u^2) or is induced by a
 concave distortion g via K0(u) = g(1 - u) - (1 - u).
 
-Far in a loss tail u = F(x) rounds to 1, so every curve also gives its value
-at survival level s = 1 - u directly (``survival_value``), the leading
-power p of that value as s -> 0 (``survival_exponent``: unbounded cover on a
-tail of index alpha has a finite price iff alpha * p > 1) and the survival
-levels where it is not smooth (``survival_knots``).
+Far in a loss tail u = F(x) rounds to 1, so every curve is evaluated at
+survival level s = 1 - u directly (``survival_value``), and that is the one
+evaluation path: ``value(u)`` and the kernel's ``k(u)`` are
+``survival_value(1 - u)``, for callers that start from a probability level.
+Every curve also gives the leading power p of K0(1 - s) as s -> 0
+(``survival_exponent``: unbounded cover on a tail of index alpha has a
+finite price iff alpha * p > 1) and the survival levels where it is not
+smooth (``survival_knots``).
 
 Every curve gives in closed form the s where K0(1 - s) + t * s peaks
 (``tilted_peak``) and the edges of the interval where it is at least a level m
@@ -161,11 +164,12 @@ class BaseCurve(ABC):
     family: str = "abstract"
 
     @abstractmethod
-    def value(self, u): ...
-
-    @abstractmethod
     def survival_value(self, s):
         """K0(1 - s), computed without forming u = 1 - s."""
+
+    def value(self, u):
+        """K0(u), evaluated as ``survival_value(1 - u)``."""
+        return self.survival_value(1.0 - np.asarray(u, dtype=float))
 
     @abstractmethod
     def tilted_peak(self, t: float) -> float:
@@ -226,10 +230,6 @@ class QuadraticCurve(BaseCurve):
         if not (0.0 < self.c <= 1.0):
             raise ValueError("c must lie in (0, 1]")
 
-    def value(self, u):
-        u = np.asarray(u, dtype=float)
-        return _ret(self.c * (u - u * u))
-
     def survival_value(self, s):
         s = np.asarray(s, dtype=float)
         return _ret(self.c * s * (1.0 - s))
@@ -259,9 +259,6 @@ class DistortionCurve(BaseCurve):
 
     distortion: Distortion
     family = "distortion"
-
-    def value(self, u):
-        return self.survival_value(1.0 - np.asarray(u, dtype=float))
 
     def survival_value(self, s):
         s = np.asarray(s, dtype=float)
@@ -297,10 +294,11 @@ class PricingKernel:
     def __post_init__(self):
         if not (self.gamma_r >= 0.0 and math.isfinite(self.gamma_r)):
             raise ValueError("gamma_r must be a finite nonnegative loading")
-        k0 = np.asarray(self.base.value(_CONCAVITY_GRID))
+        # the grid and its midpoints are symmetric, so checking K0(1 - s) checks K0(u)
+        k0 = np.asarray(self.base.survival_value(_CONCAVITY_GRID))
         if abs(k0[0]) > 1e-12 or abs(k0[-1]) > 1e-12:
             raise ValueError("base curve must vanish at 0 and 1")
-        mid = np.asarray(self.base.value(0.5 * (_CONCAVITY_GRID[:-1] + _CONCAVITY_GRID[1:])))
+        mid = np.asarray(self.base.survival_value(0.5 * (_CONCAVITY_GRID[:-1] + _CONCAVITY_GRID[1:])))
         if np.any(mid < 0.5 * (k0[:-1] + k0[1:]) - 1e-10):
             raise ValueError("base curve fails the concavity midpoint test")
         s0 = self.base.slope_at_zero
@@ -313,12 +311,11 @@ class PricingKernel:
 
     def k0(self, u):
         """Normalized kernel at level u."""
-        return _ret(self.base.value(_validate_unit(u)))
+        return self.base.value(_validate_unit(u))
 
     def k(self, u):
-        """Loaded kernel; k(0) = gamma_r and k(1) = 0."""
-        u = _validate_unit(u)
-        return _ret((1.0 + self.gamma_r) * np.asarray(self.base.value(u)) + self.gamma_r * (1.0 - u))
+        """Loaded kernel at level u, ``survival_value(1 - u)``; k(0) = gamma_r and k(1) = 0."""
+        return self.survival_value(1.0 - _validate_unit(u))
 
     def survival_value(self, s):
         """Loaded kernel at survival level s, K(1 - s), computed without forming u."""
@@ -345,7 +342,7 @@ class PricingKernel:
         """Base-curve value at the retained quantile level, K0(1 - epsilon)."""
         if not (0.0 < epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
-        return float(self.base.value(1.0 - epsilon))
+        return float(self.base.survival_value(epsilon))
 
     def crossings(self, mu: float, slope: float = 0.0) -> tuple[float, float, float, float]:
         """(lo, hi, peak, top) of the concave f(s) = K(1 - s) - slope * s: f peaks

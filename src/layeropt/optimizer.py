@@ -10,6 +10,10 @@ the kernel is concave, the cession region below the VaR level is a union of
 at most two intervals whose edges are the kernel's level crossings.  The
 best truncated stop loss runs the same iteration over single layers, whose
 multiplier step picks one of those intervals or their hull.
+
+Every kernel price is taken in survival space, K(F(x)) as
+``kernel.survival_value(model.sf(x))``: the one evaluation path, which keeps
+its precision where F(x) rounds to 1.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._integrate import bisect_root, cumulative_kernel_cost, kernel_cost
+from ._integrate import bisect_root, curve_cost
 from .contracts import (
     IndemnitySchedule,
     Layer,
@@ -64,16 +68,21 @@ def _finish(schedule: IndemnitySchedule, model, kernel, market, mu_trace=(), val
     return OptimResult(schedule, valuation, tuple(mu_trace), len(lays), _classify(len(lays)))
 
 
+def _loss_at(model, s: float, eps: float, x_eps: float) -> float:
+    """Loss level of survival level s, capped at the VaR level x_eps = isf(eps)."""
+    return 0.0 if s >= 1.0 else x_eps if s <= eps else min(float(model.isf(s)), x_eps)
+
+
 def marginal_gain(x, mu: float, model, kernel, market: MarketSpec):
     """Marginal Lagrangian value of ceding loss level x at multiplier mu."""
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
     x_arr = np.asarray(x, dtype=float)
     x_eps = model.var_level(market.epsilon)
-    cdf = np.asarray(model.cdf(x_arr))
-    out = mu * (x_arr < x_eps) - np.asarray(kernel.k(cdf))
+    sf = np.asarray(model.sf(x_arr))
+    out = mu * (x_arr < x_eps) - np.asarray(kernel.survival_value(sf))
     if market.risk_measure == CVAR:
-        out = out + (mu / market.epsilon) * (1.0 - cdf) * (x_arr >= x_eps)
+        out = out + (mu / market.epsilon) * sf * (x_arr >= x_eps)
     return float(out) if out.ndim == 0 else out
 
 
@@ -95,12 +104,11 @@ def lagrange_optimum(mu: float, model, kernel, market: MarketSpec) -> IndemnityS
         # identically zero kernel: cession is free, ties resolve to full cession
         return full_cession()
 
-    def loss_at(s: float) -> float:
-        return 0.0 if s >= 1.0 else x_eps if s <= eps else min(float(model.isf(s)), x_eps)
-
     # cede the survival levels above hi and from lo down to eps
     ranges = [(1.0, eps)] if top <= mu else [(1.0, hi), (lo, eps)]
-    edges = [(loss_at(s_top), loss_at(s_bottom)) for s_top, s_bottom in ranges]
+    edges = [
+        (_loss_at(model, s_top, eps, x_eps), _loss_at(model, s_bottom, eps, x_eps)) for s_top, s_bottom in ranges
+    ]
     layers = [Layer(a, b) for a, b in edges if b - a > _WIDTH_TOL * max(1.0, x_eps)]
 
     if market.risk_measure == CVAR and layers and layers[-1].detachment >= x_eps - _WIDTH_TOL:
@@ -116,33 +124,30 @@ def solve_attachment_fixed_point(model, kernel, market: MarketSpec, *, tol_root:
     """Attachment where the kernel price equals the achieved ratio of the
     stop loss that detaches at the VaR level.
 
-    Returns the VaR level itself (with the no-cession ratio) when the balance
-    equation has no root; flags when several sign changes are bracketed, in
-    which case the smallest root is reported.
+    The balance residual K(F(a)) * r(a) - g(a), with r and g the retained
+    risk and the profit of the layer [a, x_eps), has derivative
+    r(a) * d/da K(F(a)), because r' = 1 and g' = K(F(a)).  As r > 0, the
+    residual rises with the kernel up to the loss level of its peak (from
+    ``kernel.crossings(0.0)``) and falls after it: at most one root on each
+    side.  Its signs at 0, that level and x_eps bracket them, and bisection
+    finds the first.  Returns the VaR level itself (with the no-cession
+    ratio) when the balance equation has no root; flags when it has two, in
+    which case the smaller root is reported.
     """
     market0 = replace(market, beta=0.0)
     x_eps = model.var_level(market0.epsilon)
     gain = market0.gamma * model.mean
-
-    grid = np.linspace(0.0, x_eps, 513)
-    grid_full = np.unique(np.concatenate([grid, [t for t in model.cdf_knots if 0.0 < t < x_eps]]))
-    cum = cumulative_kernel_cost(model, kernel, grid_full)
-    profit = gain - (cum[-1] - cum)
-    floor, relief = risk_ledger(model, market0, grid_full, x_eps)
-    price = np.asarray(kernel.k(model.cdf(grid_full)))
-    resid_grid = price * (floor - relief) - profit
+    floor = risk_ledger(model, market0, 0.0, x_eps)[0]
 
     def resid(a: float) -> float:
-        g = gain - kernel_cost(model, kernel, a, x_eps, tol=1e-12)
+        g = gain - curve_cost(model, kernel, a, x_eps, tol=1e-12)
         r = float(floor - risk_ledger(model, market0, a, x_eps)[1])
-        return float(kernel.k(model.cdf(a))) * r - g
+        return float(kernel.survival_value(model.sf(a))) * r - g
 
-    sign = np.sign(resid_grid)
-    brackets = [
-        (grid_full[i], grid_full[i + 1])
-        for i in range(len(grid_full) - 1)
-        if sign[i] != sign[i + 1] and sign[i] != 0.0
-    ]
+    _, _, peak, _ = kernel.crossings(0.0)
+    points = (0.0, _loss_at(model, peak, market0.epsilon, x_eps), x_eps)
+    sign = np.sign([resid(a) for a in points])
+    brackets = [points[i : i + 2] for i in range(2) if sign[i] != sign[i + 1] and sign[i] != 0.0]
     if not brackets:
         return AttachmentResult(x_eps, gain / floor, False)
     lo, hi = brackets[0]
@@ -220,7 +225,7 @@ def _best_single_layer(mu: float, model, kernel, market: MarketSpec) -> Indemnit
     if len(runs) < 2:
         return schedule
     (a1, b1), (a2, b2) = ((run.attachment, run.detachment) for run in runs)
-    c1, c_gap, c2 = (kernel_cost(model, kernel, lo, hi) for lo, hi in ((a1, b1), (b1, a2), (a2, b2)))
+    c1, c_gap, c2 = (curve_cost(model, kernel, lo, hi) for lo, hi in ((a1, b1), (b1, a2), (a2, b2)))
     relief = risk_ledger(model, market, [a1, a2, a1], [b1, b2, b2])[1]
     best = int(np.argmax(mu * relief - np.array([c1, c2, c1 + c_gap + c2])))
     return truncated_stop_loss(*((a1, b1), (a2, b2), (a1, b2))[best])
@@ -257,7 +262,7 @@ def discrete_bruteforce_oracle(
     if x_max is None:
         x_max = float(model.quantile(1.0 - market0.epsilon / 10.0))
     edges = np.linspace(0.0, float(x_max), n + 1)
-    cost = np.array([kernel_cost(model, kernel, lo, hi, tol=1e-12) for lo, hi in zip(edges, edges[1:])])
+    cost = np.array([curve_cost(model, kernel, lo, hi, tol=1e-12) for lo, hi in zip(edges, edges[1:])])
     floor, relief = risk_ledger(model, market0, edges[:-1], edges[1:])
 
     best_ratio = -math.inf

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import kernel_cost
+from ._integrate import curve_cost
 from .contracts import IndemnitySchedule
 
 VAR = "var"
@@ -62,7 +62,7 @@ def reinsurer_surplus(model, kernel, schedule: IndemnitySchedule, *, tol: float 
     total = 0.0
     for slope, lo, hi in zip(schedule.slopes, bps, bps[1:] + (math.inf,)):
         if slope > 0.0:
-            total += slope * kernel_cost(model, kernel, lo, hi, tol=tol)
+            total += slope * curve_cost(model, kernel, lo, hi, tol=tol)
     return total
 
 

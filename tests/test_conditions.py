@@ -1,12 +1,19 @@
 """Tests for the regime diagnostics."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from layeropt import (
+    CappedLinearDistortion,
+    DistortionCurve,
     Exponential,
+    Gamma,
+    Lognormal,
     MarketSpec,
     Pareto,
+    PowerDistortion,
     QuadraticCurve,
     ViolationSearchSpec,
     asymptotic_profit_gaps,
@@ -119,6 +126,26 @@ class TestGammaLowerExact:
     def test_critical_attachment_at_exact_lower_is_var_level(self):
         g_lo = gamma_lower_exact(BASE, 0.05)
         assert critical_attachment(g_lo, MODEL, BASE, 0.05) == pytest.approx(X_EPS, abs=1e-9)
+
+    def test_critical_attachment_never_exceeds_var_level(self):
+        # isf and the quantile behind the VaR level round differently: uncapped, the scan
+        # at the end put its gamma-0.6 model's first attachment one rounding unit above x_eps
+        models = [
+            Exponential(1.0), Exponential(3.0), Pareto.with_mean(2.5, 1.0), Pareto.with_mean(1.5, 1.0),
+            Lognormal.from_mean(1.0, 0.5), Lognormal.from_mean(1.0, 1.2), Gamma.from_mean(1.0, 0.6),
+            Gamma.from_mean(1.0, 3.0),
+        ]
+        bases = [QuadraticCurve(0.25), QuadraticCurve(0.5), QuadraticCurve(1.0)] + [
+            DistortionCurve(d)
+            for d in (PowerDistortion(0.5), PowerDistortion(0.7), PowerDistortion(0.9),
+                      CappedLinearDistortion(1.5), CappedLinearDistortion(2.0))
+        ]
+        for model, base, eps in product(models, bases, (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.45)):
+            g_lo = gamma_lower_exact(base, eps)
+            assert critical_attachment(g_lo, model, base, eps) <= model.var_level(eps)
+        market = MarketSpec(gamma=0.1, epsilon=0.05)
+        scan = balance_concavity_scan(Gamma.from_mean(1.0, 0.6), DistortionCurve(PowerDistortion(0.9)), market)
+        assert scan.attachments[0] == Gamma.from_mean(1.0, 0.6).var_level(0.05)
 
 
 class TestBalanceScan:

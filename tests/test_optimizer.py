@@ -27,6 +27,7 @@ from layeropt import (
     Pareto,
     PowerDistortion,
     Valuation,
+    balance_concavity_scan,
     best_truncated_stop_loss,
     check_conditions,
     criterion,
@@ -42,7 +43,7 @@ from layeropt import (
     truncated_stop_loss,
     zero_schedule,
 )
-from layeropt._integrate import cumulative_kernel_cost, kernel_cost, purchasable
+from layeropt._integrate import cumulative_kernel_cost, curve_cost, purchasable
 from layeropt.valuation import risk_ledger
 
 MODEL = Exponential(1.0)
@@ -75,6 +76,14 @@ class TestMarginalGain:
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):
             marginal_gain(1.0, -0.1, MODEL, KERNEL, VAR_MARKET)
+
+    @pytest.mark.parametrize("x, sign", [(40.0, 1.0), (41.5, 1.0), (42.5, -1.0), (45.0, -1.0)])
+    def test_cvar_gain_keeps_its_sign_where_the_cdf_rounds_to_one(self, x, sign):
+        # beyond the VaR level the gain is 1.6 s - 1.05 s**0.99 at s = exp(-x), which changes
+        # sign at the detachment 100 ln(1.6 / 1.05) = 42.12, where F(x) = 1 - 5e-19 rounds to 1
+        kernel = from_distortion(PowerDistortion(0.99), 0.05)
+        value = marginal_gain(x, 0.03, MODEL, kernel, CVAR_MARKET)
+        assert value * sign > 0.0
 
 
 class TestLagrangeOptimum:
@@ -176,6 +185,34 @@ class TestAttachmentFixedPoint:
         assert result.attachment < X_EPS
         price = kernel.k(MODEL.cdf(result.attachment))
         assert abs(price - result.ratio) <= 1e-8
+
+    def test_near_double_root_inside_one_grid_cell(self):
+        # the residual peaks at a = 0.3137 only 1e-6 above zero, so its two roots lie
+        # about 0.003 apart, closer than a 513-point grid on [0, x_eps] can separate
+        kernel = quadratic_kernel(0.5, 0.3)
+        market = MarketSpec(gamma=0.9299753257179519, epsilon=0.05, risk_measure=CVAR)
+        result = solve_attachment_fixed_point(MODEL, kernel, market)
+        assert result.multiple_roots
+        assert result.attachment == pytest.approx(0.31218, abs=1e-4)
+        assert abs(kernel.survival_value(MODEL.sf(result.attachment)) - result.ratio) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "c, gamma_r, gamma, measure",
+        [(1.0, 0.3, 1.3, CVAR), (1.0, 0.2, 1.1, CVAR), (0.8, 0.1, 0.52, VAR), (0.5, 0.3, 0.58, VAR)],
+    )
+    def test_two_separated_roots_report_the_smaller(self, c, gamma_r, gamma, measure):
+        kernel = quadratic_kernel(c, gamma_r)
+        market = MarketSpec(gamma=gamma, epsilon=0.05, risk_measure=measure)
+        result = solve_attachment_fixed_point(MODEL, kernel, market)
+        # the residual has the sign of price - ratio, as the retained risk is positive
+        grid = np.linspace(0.01, X_EPS - 0.01, 100)
+        ratios = [criterion(MODEL, kernel, truncated_stop_loss(a, X_EPS), market).ratio for a in grid]
+        gap = np.asarray(kernel.survival_value(MODEL.sf(grid))) - ratios
+        changes = np.flatnonzero(np.diff(np.sign(gap)))
+        assert len(changes) == 2 and changes[1] - changes[0] > 2
+        assert result.multiple_roots
+        assert grid[changes[0]] <= result.attachment <= grid[changes[0] + 1]
+        assert abs(kernel.survival_value(MODEL.sf(result.attachment)) - result.ratio) <= 1e-8
 
     def test_risk_neutral_kernel_at_equal_loadings_has_no_root(self):
         # ceding the whole band below the VaR level is then profitable, the
@@ -337,7 +374,7 @@ def _grid_best_ratio(model, kernel, market, n=400):
     cum = cumulative_kernel_cost(model, kernel, pts)
     cost, b = cum[None, :] - cum[:, None], pts
     if purchasable(model, kernel):
-        tail = cum[-1] + kernel_cost(model, kernel, pts[-1], math.inf)
+        tail = cum[-1] + curve_cost(model, kernel, pts[-1], math.inf)
         cost, b = np.hstack([cost, tail - cum[:, None]]), np.append(pts, math.inf)
     floor, relief = risk_ledger(model, market, pts[:, None], b[None, :])
     ok = (b[None, :] > pts[:, None]) & (floor - relief > 0.0)
@@ -539,7 +576,7 @@ def test_result_types_are_slotted_values(value):
 def test_unbounded_results_hold_python_floats():
     # the tail engine's geometric remainder is a numpy scalar; results must not carry it
     model, market = Pareto.with_mean(3.0, 1.0), MarketSpec(0.1, 0.05, "cvar")
-    assert type(kernel_cost(model, KERNEL, 1.0, math.inf)) is float
+    assert type(curve_cost(model, KERNEL, 1.0, math.inf)) is float
     result = best_truncated_stop_loss(model, KERNEL, market)
     assert result.schedule.slopes[-1] == 1.0  # an unbounded layer
     assert all(type(getattr(result.valuation, f.name)) is float for f in dataclasses.fields(result.valuation))
@@ -566,3 +603,39 @@ def test_returned_schedule_is_priced_once(monkeypatch, solve):
         assert result.valuation == criterion(MODEL, KERNEL, result.schedule, market)
     # beta shifts every ratio alike, so both runs take the same iterates; only beta > 0 prices the result again
     assert counts[0] == counts[1] - 1
+
+
+@pytest.mark.parametrize("measure", [VAR, CVAR])
+@pytest.mark.parametrize(
+    "model",
+    [Exponential(1.0), Pareto.with_mean(2.5, 1.0), Gamma.from_mean(1.0, 0.6)],
+    ids=["exponential", "pareto-2.5", "gamma-0.6"],
+)
+def test_solvers_price_the_kernel_in_survival_space_only(monkeypatch, model, measure):
+    """Every solver, valuation and condition path evaluates K(F(x)) as
+    ``survival_value(sf(x))``, never through a probability level u = F(x)."""
+    import layeropt.kernels as kernels
+    import layeropt.losses as losses
+
+    kernels_built = [
+        quadratic_kernel(0.5, 0.1),
+        from_distortion(PowerDistortion(0.7), 0.1),
+        from_distortion(CappedLinearDistortion(1.5), 0.1),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel evaluated at a probability level")
+
+    for cls, name in [(kernels.PricingKernel, "k"), (kernels.PricingKernel, "k0"), (kernels.BaseCurve, "value")]:
+        monkeypatch.setattr(cls, name, refuse)
+    for family in losses.LossModel.__subclasses__():
+        monkeypatch.setattr(family, "cdf", refuse)
+
+    market = MarketSpec(gamma=0.1, epsilon=0.05, risk_measure=measure)
+    for kernel in kernels_built:
+        solve_attachment_fixed_point(model, kernel, market)
+        dinkelbach_optimize(model, kernel, market)
+        best_truncated_stop_loss(model, kernel, market)
+        check_conditions(model, kernel, market)
+        marginal_gain(np.linspace(0.0, 10.0, 21), 0.05, model, kernel, market)
+        balance_concavity_scan(model, kernel.base, market, n_points=5)
