@@ -181,7 +181,8 @@ def cumulative_kernel_cost(model, kernel, grid) -> np.ndarray:
     One fixed 24-node Gauss-Legendre panel of the engine behind ``curve_cost``
     per grid step, with no bisection: exact to rounding for the smooth
     integrands between a dense grid's points, and a single vectorized call
-    however large the grid.
+    however large the grid.  No solver in the package calls it; the tests use
+    it as the fixed-panel dense-grid reference for ``curve_cost``.
     """
     grid = np.asarray(grid, dtype=float)
     return np.concatenate([[0.0], np.cumsum(_panel_costs(model, kernel, grid[:-1], grid[1:]))])

@@ -1,11 +1,14 @@
 """Piecewise-linear indemnity schedules.
 
-A schedule is stored as breakpoints 0 = x0 < x1 < ... < xm with one slope per
-segment (the last segment runs to infinity).  Slopes live in [0, 1], which
-together with I(0) = 0 makes every schedule nondecreasing, 1-Lipschitz and
-pointwise between 0 and x.  Construction canonicalizes by merging adjacent
-segments of equal slope, so equality of canonical forms is equality of the
-underlying functions.
+A schedule is stored as finite breakpoints 0 = x0 < x1 < ... < xm with one
+slope per segment (the last segment runs to infinity).  Slopes live in
+[0, 1], which together with I(0) = 0 makes every schedule nondecreasing,
+1-Lipschitz and pointwise between 0 and x.  Construction canonicalizes by
+merging adjacent segments of equal slope, so equality of canonical forms is
+equality of the underlying functions.
+
+``IndemnitySchedule.segments()`` is the one decoder of this layout and
+``schedule_from_layers`` the one builder; other modules use only these.
 """
 
 from __future__ import annotations
@@ -46,20 +49,15 @@ class IndemnitySchedule:
             raise ValueError("need one slope per breakpoint")
         if bps[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
-        if any(b <= a for a, b in zip(bps, bps[1:])) or not math.isfinite(bps[-1]):
+        if any(b <= a for a, b in zip(bps, bps[1:])) or not all(map(math.isfinite, bps)):
             raise ValueError("breakpoints must be finite and strictly increasing")
-        if any(s < -_SLOPE_TOL or s > 1.0 + _SLOPE_TOL for s in slopes):
+        if not all(-_SLOPE_TOL <= s <= 1.0 + _SLOPE_TOL for s in slopes):
             raise ValueError("slopes must lie in [0, 1]")
         slopes = tuple(min(max(s, 0.0), 1.0) for s in slopes)
         # canonical form: merge runs of equal slope
-        merged_b, merged_s = [bps[0]], [slopes[0]]
-        for b, s in zip(bps[1:], slopes[1:]):
-            if s == merged_s[-1]:
-                continue
-            merged_b.append(b)
-            merged_s.append(s)
-        object.__setattr__(self, "breakpoints", tuple(merged_b))
-        object.__setattr__(self, "slopes", tuple(merged_s))
+        keep = [i for i, s in enumerate(slopes) if i == 0 or s != slopes[i - 1]]
+        object.__setattr__(self, "breakpoints", tuple(bps[i] for i in keep))
+        object.__setattr__(self, "slopes", tuple(slopes[i] for i in keep))
 
     def evaluate(self, x):
         """I(x), vectorized; negative arguments evaluate as zero loss."""
@@ -70,16 +68,15 @@ class IndemnitySchedule:
         out = values[idx] + slopes[idx] * (x - knots[idx])
         return float(out) if out.ndim == 0 else out
 
+    def segments(self) -> list[tuple[float, float, float]]:
+        """(start, end, slope) of each segment in increasing order; the last end is ``math.inf``."""
+        return list(zip(self.breakpoints, self.breakpoints[1:] + (math.inf,), self.slopes))
+
     def layers(self) -> list[Layer]:
         """Full-cession intervals of a bang-bang schedule, in increasing order."""
         if any(s not in (0.0, 1.0) for s in self.slopes):
             raise ValueError("schedule is not bang-bang: fractional slope present")
-        out = []
-        for i, s in enumerate(self.slopes):
-            if s == 1.0:
-                hi = self.breakpoints[i + 1] if i + 1 < len(self.breakpoints) else math.inf
-                out.append(Layer(self.breakpoints[i], hi))
-        return out
+        return [Layer(lo, hi) for lo, hi, s in self.segments() if s == 1.0]
 
     def rescale(self, factor: float) -> "IndemnitySchedule":
         """Stretch the loss axis by ``factor`` (slopes are unchanged)."""
@@ -92,11 +89,7 @@ class IndemnitySchedule:
         return all(s == 0.0 for s in self.slopes)
 
     def describe(self) -> str:
-        segs = []
-        for i, s in enumerate(self.slopes):
-            hi = self.breakpoints[i + 1] if i + 1 < len(self.breakpoints) else math.inf
-            segs.append(f"[{self.breakpoints[i]:g}, {hi:g}) slope {s:g}")
-        return "; ".join(segs)
+        return "; ".join(f"[{lo:g}, {hi:g}) slope {s:g}" for lo, hi, s in self.segments())
 
 
 _ZERO = IndemnitySchedule((0.0,), (0.0,))
@@ -108,23 +101,12 @@ def zero_schedule() -> IndemnitySchedule:
 
 
 def full_cession() -> IndemnitySchedule:
-    return IndemnitySchedule((0.0,), (1.0,))
+    return schedule_from_layers([Layer(0.0, math.inf)])
 
 
 def truncated_stop_loss(attachment: float, detachment: float = math.inf) -> IndemnitySchedule:
     """The layer contract paying (x - attachment)+ capped at the layer width."""
-    if not (0.0 <= attachment < detachment):
-        raise ValueError("need 0 <= attachment < detachment")
-    bps: list[float] = [0.0]
-    slopes: list[float] = []
-    if attachment > 0.0:
-        slopes.append(0.0)
-        bps.append(attachment)
-    slopes.append(1.0)
-    if math.isfinite(detachment):
-        bps.append(detachment)
-        slopes.append(0.0)
-    return IndemnitySchedule(tuple(bps), tuple(slopes))
+    return schedule_from_layers([Layer(attachment, detachment)])
 
 
 def schedule_from_layers(layers) -> IndemnitySchedule:
@@ -137,19 +119,8 @@ def schedule_from_layers(layers) -> IndemnitySchedule:
             raise ValueError("layers overlap")
     if any(not math.isfinite(l.detachment) for l in items[:-1]):
         raise ValueError("only the last layer may be unbounded")
-    bps: list[float] = [0.0]
-    slopes: list[float] = []
-    cursor = 0.0
-    for layer in items:
-        if layer.attachment > cursor:
-            slopes.append(0.0)
-            bps.append(layer.attachment)
-        slopes.append(1.0)
-        if math.isfinite(layer.detachment):
-            bps.append(layer.detachment)
-            cursor = layer.detachment
-        else:
-            cursor = math.inf
-    if math.isfinite(cursor):
-        slopes.append(0.0)
-    return IndemnitySchedule(tuple(bps), tuple(slopes))
+    # disjoint layers: a segment lies inside one exactly when it starts at an
+    # attachment; the constructor merges adjacent layers
+    attachments = {l.attachment for l in items}
+    edges = sorted({0.0, *attachments, *(l.detachment for l in items if math.isfinite(l.detachment))})
+    return IndemnitySchedule(tuple(edges), tuple(float(e in attachments) for e in edges))

@@ -186,8 +186,7 @@ class BaseCurve(ABC):
         peak = self.tilted_peak(t)
 
         def excess(s):
-            # range-checked like the kernel's public evaluations; ROADMAP item 1 says why the check stays for now
-            return float(self.survival_value(_validate_unit(s))) + t * s - m
+            return float(self.survival_value(s)) + t * s - m
 
         if excess(peak) <= 0.0:  # a level within rounding of the peak value
             return peak, peak

@@ -8,6 +8,10 @@ wherever the family admits them, so golden-value tests stay exact; quadrature
 never enters this module.  ``sf`` and ``isf`` work in survival space: they
 keep full relative precision down to survival probabilities near the
 smallest double, where ``1 - cdf`` and ``quantile(1 - s)`` round to nothing.
+
+``LossModel``'s public primitives check their input once and return a float
+for a scalar; each family implements ``_cdf`` ... ``_tail_integral`` on the
+checked array.
 """
 
 from __future__ import annotations
@@ -69,25 +73,37 @@ class LossModel(ABC):
     def mean(self) -> float:
         """E(X), always finite for constructible models."""
 
-    @abstractmethod
     def cdf(self, x):
         """F(x) for x >= 0; vectorized."""
+        return _ret(self._cdf(_validate_level(x)))
 
-    @abstractmethod
     def quantile(self, p):
         """Smallest x with F(x) >= p, for p in (0, 1); vectorized."""
+        return _ret(self._quantile(_validate_prob(p)))
 
-    @abstractmethod
     def sf(self, x):
         """Survival function S(x) = 1 - F(x), computed without forming F."""
+        return _ret(self._sf(_validate_level(x)))
 
-    @abstractmethod
     def isf(self, s):
         """Inverse survival function, for s in (0, 1): quantile(1 - s) without forming 1 - s."""
+        return _ret(self._isf(_validate_prob(s)))
 
-    @abstractmethod
     def tail_integral(self, t):
         """Integral of 1 - F over [t, infinity); equals the mean at t = 0."""
+        return _ret(self._tail_integral(_validate_level(t, "t")))
+
+    # each family computes the five primitives on the arrays checked above
+    @abstractmethod
+    def _cdf(self, x): ...
+    @abstractmethod
+    def _quantile(self, p): ...
+    @abstractmethod
+    def _sf(self, x): ...
+    @abstractmethod
+    def _isf(self, s): ...
+    @abstractmethod
+    def _tail_integral(self, t): ...
 
     @abstractmethod
     def rescale(self, new_mean: float) -> "LossModel":
@@ -130,25 +146,20 @@ class Exponential(LossModel):
     def mean(self) -> float:
         return self.mean_value
 
-    def cdf(self, x):
-        x = _validate_level(x)
-        return _ret(-np.expm1(-x / self.mean_value))
+    def _cdf(self, x):
+        return -np.expm1(-x / self.mean_value)
 
-    def quantile(self, p):
-        p = _validate_prob(p)
-        return _ret(-self.mean_value * np.log1p(-p))
+    def _quantile(self, p):
+        return -self.mean_value * np.log1p(-p)
 
-    def sf(self, x):
-        x = _validate_level(x)
-        return _ret(np.exp(-x / self.mean_value))
+    def _sf(self, x):
+        return np.exp(-x / self.mean_value)
 
-    def isf(self, s):
-        s = _validate_prob(s)
-        return _ret(-self.mean_value * np.log(s))
+    def _isf(self, s):
+        return -self.mean_value * np.log(s)
 
-    def tail_integral(self, t):
-        t = _validate_level(t, "t")
-        return _ret(self.mean_value * np.exp(-t / self.mean_value))
+    def _tail_integral(self, t):
+        return self.mean_value * np.exp(-t / self.mean_value)
 
     def rescale(self, new_mean: float) -> "Exponential":
         _check_positive(new_mean, "new_mean")
@@ -187,32 +198,27 @@ class Pareto(LossModel):
     def cdf_knots(self) -> tuple[float, ...]:
         return (self.scale,)
 
-    def cdf(self, x):
-        x = _validate_level(x)
+    def _cdf(self, x):
         ratio = self.scale / np.maximum(x, self.scale)
-        return _ret(np.where(x <= self.scale, 0.0, 1.0 - ratio**self.shape))
+        return np.where(x <= self.scale, 0.0, 1.0 - ratio**self.shape)
 
-    def quantile(self, p):
-        p = _validate_prob(p)
-        return _ret(self.scale * (1.0 - p) ** (-1.0 / self.shape))
+    def _quantile(self, p):
+        return self.scale * (1.0 - p) ** (-1.0 / self.shape)
 
-    def sf(self, x):
-        x = _validate_level(x)
-        return _ret((self.scale / np.maximum(x, self.scale)) ** self.shape)
+    def _sf(self, x):
+        return (self.scale / np.maximum(x, self.scale)) ** self.shape
 
-    def isf(self, s):
-        s = _validate_prob(s)
-        return _ret(self.scale * s ** (-1.0 / self.shape))
+    def _isf(self, s):
+        return self.scale * s ** (-1.0 / self.shape)
 
     @property
     def tail_index(self) -> float:
         return self.shape
 
-    def tail_integral(self, t):
-        t = _validate_level(t, "t")
+    def _tail_integral(self, t):
         over = self.scale**self.shape * np.maximum(t, self.scale) ** (1.0 - self.shape)
         over = over / (self.shape - 1.0)
-        return _ret(np.where(t < self.scale, (self.scale - t) + self.scale / (self.shape - 1.0), over))
+        return np.where(t < self.scale, (self.scale - t) + self.scale / (self.shape - 1.0), over)
 
     def rescale(self, new_mean: float) -> "Pareto":
         _check_positive(new_mean, "new_mean")
@@ -241,34 +247,29 @@ class Lognormal(LossModel):
     def mean(self) -> float:
         return math.exp(self.mu + 0.5 * self.sigma**2)
 
-    def cdf(self, x):
-        x = _validate_level(x)
+    def _cdf(self, x):
         with np.errstate(divide="ignore"):
             z = (np.log(np.maximum(x, 1e-300)) - self.mu) / self.sigma
-        return _ret(np.where(x <= 0.0, 0.0, _special().ndtr(z)))
+        return np.where(x <= 0.0, 0.0, _special().ndtr(z))
 
-    def quantile(self, p):
-        p = _validate_prob(p)
-        return _ret(np.exp(self.mu + self.sigma * _special().ndtri(p)))
+    def _quantile(self, p):
+        return np.exp(self.mu + self.sigma * _special().ndtri(p))
 
-    def sf(self, x):
-        x = _validate_level(x)
+    def _sf(self, x):
         with np.errstate(divide="ignore"):
             z = (np.log(np.maximum(x, 1e-300)) - self.mu) / self.sigma
-        return _ret(np.where(x <= 0.0, 1.0, _special().ndtr(-z)))
+        return np.where(x <= 0.0, 1.0, _special().ndtr(-z))
 
-    def isf(self, s):
-        s = _validate_prob(s)
-        return _ret(np.exp(self.mu - self.sigma * _special().ndtri(s)))
+    def _isf(self, s):
+        return np.exp(self.mu - self.sigma * _special().ndtri(s))
 
-    def tail_integral(self, t):
+    def _tail_integral(self, t):
         # E(X - t)+ via the standard lognormal partial-moment identity
-        t = _validate_level(t, "t")
         t_safe = np.maximum(t, 1e-300)
         d = (np.log(t_safe) - self.mu) / self.sigma
         partial = self.mean * _special().ndtr(self.sigma - d)
         value = partial - t * _special().ndtr(-d)
-        return _ret(np.where(t <= 0.0, self.mean, value))
+        return np.where(t <= 0.0, self.mean, value)
 
     def rescale(self, new_mean: float) -> "Lognormal":
         _check_positive(new_mean, "new_mean")
@@ -296,28 +297,23 @@ class Gamma(LossModel):
     def mean(self) -> float:
         return self.shape * self.scale
 
-    def cdf(self, x):
-        x = _validate_level(x)
-        return _ret(_special().gammainc(self.shape, x / self.scale))
+    def _cdf(self, x):
+        return _special().gammainc(self.shape, x / self.scale)
 
-    def quantile(self, p):
-        p = _validate_prob(p)
-        return _ret(self.scale * _special().gammaincinv(self.shape, p))
+    def _quantile(self, p):
+        return self.scale * _special().gammaincinv(self.shape, p)
 
-    def sf(self, x):
-        x = _validate_level(x)
-        return _ret(_special().gammaincc(self.shape, x / self.scale))
+    def _sf(self, x):
+        return _special().gammaincc(self.shape, x / self.scale)
 
-    def isf(self, s):
-        s = _validate_prob(s)
-        return _ret(self.scale * _special().gammainccinv(self.shape, s))
+    def _isf(self, s):
+        return self.scale * _special().gammainccinv(self.shape, s)
 
-    def tail_integral(self, t):
+    def _tail_integral(self, t):
         # E[X; X > t] = mean * S_{shape+1}(t), then subtract t * survival
-        t = _validate_level(t, "t")
         z = t / self.scale
         partial = self.mean * _special().gammaincc(self.shape + 1.0, z)
-        return _ret(partial - t * _special().gammaincc(self.shape, z))
+        return partial - t * _special().gammaincc(self.shape, z)
 
     def rescale(self, new_mean: float) -> "Gamma":
         _check_positive(new_mean, "new_mean")
@@ -343,6 +339,8 @@ class EmpiricalTable(LossModel):
         ps = tuple(float(v) for v in self.ps)
         if len(xs) != len(ps) or len(xs) < 2:
             raise ValueError("table needs at least two (x, F(x)) rows of equal length")
+        if not all(map(math.isfinite, xs + ps)):
+            raise ValueError("table entries must be finite")
         if xs[0] < 0.0:
             raise ValueError("loss levels must be nonnegative")
         if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -391,46 +389,41 @@ class EmpiricalTable(LossModel):
     def cdf_knots(self) -> tuple[float, ...]:
         return self.xs
 
-    def cdf(self, x):
-        x = _validate_level(x)
+    def _cdf(self, x):
         inside = np.interp(x, self.xs, self.ps)
         out = np.where(x < self.xs[0], 0.0, inside)
         if self.ps[-1] < 1.0:
             h = self._tail_hazard
             tail = 1.0 - (1.0 - self.ps[-1]) * np.exp(-h * (x - self.xs[-1]))
             out = np.where(x > self.xs[-1], tail, out)
-        return _ret(out)
+        return out
 
-    def quantile(self, p):
-        p = _validate_prob(p)
+    def _quantile(self, p):
         out = np.interp(p, self.ps, self.xs)
         out = np.where(p <= self.ps[0], self.xs[0], out)
         if self.ps[-1] < 1.0:
             h = self._tail_hazard
             tail = self.xs[-1] + np.log((1.0 - self.ps[-1]) / (1.0 - p)) / h
             out = np.where(p > self.ps[-1], tail, out)
-        return _ret(out)
+        return out
 
-    def sf(self, x):
-        x = _validate_level(x)
+    def _sf(self, x):
         # below a first knot at x > 0 the interpolation holds its probability, 0
         out = 1.0 - np.interp(x, self.xs, self.ps)
         if self.ps[-1] < 1.0:
             tail = (1.0 - self.ps[-1]) * np.exp(-self._tail_hazard * (x - self.xs[-1]))
             out = np.where(x > self.xs[-1], tail, out)
-        return _ret(out)
+        return out
 
-    def isf(self, s):
-        s = _validate_prob(s)
+    def _isf(self, s):
         surv = 1.0 - np.asarray(self.ps)
         out = np.interp(s, surv[::-1], self.xs[::-1])
         if self.ps[-1] < 1.0:
             tail = self.xs[-1] + np.log(surv[-1] / s) / self._tail_hazard
             out = np.where(s < surv[-1], tail, out)
-        return _ret(out)
+        return out
 
-    def tail_integral(self, t):
-        t = _validate_level(t, "t")
+    def _tail_integral(self, t):
         xs, ps = np.asarray(self.xs), np.asarray(self.ps)
         # integral of 1 - F from each knot up, the closing exponential tail included
         areas = np.diff(xs) * (1.0 - 0.5 * (ps[:-1] + ps[1:]))
@@ -446,7 +439,7 @@ class EmpiricalTable(LossModel):
         if ps[-1] < 1.0:
             h = self._tail_hazard
             tail = (1.0 - ps[-1]) * np.exp(-h * (np.maximum(t, xs[-1]) - xs[-1])) / h
-        return _ret(np.where(t > xs[-1], tail, out))
+        return np.where(t > xs[-1], tail, out)
 
     def rescale(self, new_mean: float) -> "EmpiricalTable":
         _check_positive(new_mean, "new_mean")
@@ -490,31 +483,26 @@ class PortfolioNormal(LossModel):
     def nominal_mean(self) -> float:
         return self.location
 
-    def cdf(self, x):
-        x = _validate_level(x)
+    def _cdf(self, x):
         z = (x - self.location) / self.spread
-        return _ret((_special().ndtr(z) - _special().ndtr(self._z0)) / self._keep)
+        return (_special().ndtr(z) - _special().ndtr(self._z0)) / self._keep
 
-    def quantile(self, p):
-        p = _validate_prob(p)
+    def _quantile(self, p):
         p_full = p * self._keep + _special().ndtr(self._z0)
-        return _ret(self.location + self.spread * _special().ndtri(p_full))
+        return self.location + self.spread * _special().ndtri(p_full)
 
-    def sf(self, x):
-        x = _validate_level(x)
-        return _ret(_special().ndtr((self.location - x) / self.spread) / self._keep)
+    def _sf(self, x):
+        return _special().ndtr((self.location - x) / self.spread) / self._keep
 
-    def isf(self, s):
-        s = _validate_prob(s)
-        return _ret(self.location - self.spread * _special().ndtri(s * self._keep))
+    def _isf(self, s):
+        return self.location - self.spread * _special().ndtri(s * self._keep)
 
-    def tail_integral(self, t):
+    def _tail_integral(self, t):
         # E(X - t)+ of the untruncated normal, scaled by the kept mass
-        t = _validate_level(t, "t")
         d = (t - self.location) / self.spread
         phi = np.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
         plain = (self.location - t) * _special().ndtr(-d) + self.spread * phi
-        return _ret(plain / self._keep)
+        return plain / self._keep
 
     def rescale(self, new_mean: float) -> "PortfolioNormal":
         _check_positive(new_mean, "new_mean")

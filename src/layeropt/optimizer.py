@@ -281,6 +281,6 @@ def discrete_bruteforce_oracle(
             best_ratio = float(ratios[k])
             best_mask = int(masks[k])
 
-    # canonical form merges runs of ceded cells into layers
-    slopes = tuple(float((best_mask >> i) & 1) for i in range(n)) + (0.0,)
-    return _finish(IndemnitySchedule(tuple(edges), slopes), model, kernel, market)
+    # adjacent ceded cells merge into one layer
+    cells = [Layer(lo, hi) for i, (lo, hi) in enumerate(zip(edges, edges[1:])) if (best_mask >> i) & 1]
+    return _finish(schedule_from_layers(cells), model, kernel, market)

@@ -40,8 +40,8 @@ class MarketSpec:
             raise ValueError("gamma must be a positive loading")
         if not (0.0 < self.epsilon < 0.5):
             raise ValueError("epsilon must lie in (0, 0.5)")
-        if self.beta < 0.0:
-            raise ValueError("beta must be nonnegative")
+        if not (self.beta >= 0.0 and math.isfinite(self.beta)):
+            raise ValueError("beta must be finite and nonnegative")
         measure = str(self.risk_measure).lower()
         if measure not in (VAR, CVAR):
             raise ValueError("risk_measure must be 'var' or 'cvar'")
@@ -58,9 +58,8 @@ class Valuation:
 
 def reinsurer_surplus(model, kernel, schedule: IndemnitySchedule, *, tol: float = 1e-10) -> float:
     """Expected surplus of the reinsurer: integral of K(F(x)) dI(x)."""
-    bps = schedule.breakpoints
     total = 0.0
-    for slope, lo, hi in zip(schedule.slopes, bps, bps[1:] + (math.inf,)):
+    for lo, hi, slope in schedule.segments():
         if slope > 0.0:
             total += slope * curve_cost(model, kernel, lo, hi, tol=tol)
     return total
@@ -89,9 +88,9 @@ def risk_ledger(model, market: MarketSpec, a, b):
 
 def retained_risk(model, schedule: IndemnitySchedule, market: MarketSpec) -> float:
     """VaR or CVaR of the cedent's loss net of the schedule."""
-    bps = schedule.breakpoints
-    floor, relief = risk_ledger(model, market, bps, bps[1:] + (math.inf,))
-    risk = float(floor - np.asarray(schedule.slopes) @ relief)
+    starts, ends, slopes = zip(*schedule.segments())
+    floor, relief = risk_ledger(model, market, starts, ends)
+    risk = float(floor - np.asarray(slopes) @ relief)
     if risk <= 0.0:
         raise NonpositiveRiskError(
             f"retained {market.risk_measure} is {risk:.3e}; the ratio criterion is undefined"

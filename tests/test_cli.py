@@ -234,6 +234,29 @@ def test_exit_two_on_tolerance_override_that_is_not_positive_and_finite(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_exit_two_on_beta_that_is_not_finite_and_nonnegative(tmp_path, capsys, value):
+    path = tmp_path / "cfg.ini"
+    path.write_text(BASELINE_INI.read_text().replace("beta = 0.0", f"beta = {value}"))
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(path), "--command", "evaluate", "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", ["1.0,nan", "nan,0.9", "inf,0.9"])
+def test_exit_two_on_table_entry_that_is_not_finite(tmp_path, capsys, row):
+    table = tmp_path / "table.csv"
+    table.write_text(f"0.0,0.0\n0.5,0.4\n{row}\n")
+    path = tmp_path / "cfg.ini"
+    text = BASELINE_CONFIG.replace("family = exponential\nmean = 1.0", f"family = empirical-table\npath = {table}")
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1e-10", "nan", "inf", "tight"])
 @pytest.mark.parametrize("key", ["tol_quad", "tol_root"])
 def test_tolerance_in_config_must_be_positive_and_finite(key, value):

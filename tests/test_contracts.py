@@ -37,6 +37,10 @@ class TestTruncatedStopLoss:
         with pytest.raises(ValueError):
             truncated_stop_loss(3.0, 1.0)
 
+    @pytest.mark.parametrize("a, b", [(0.0, 2.0), (1.5, 4.0), (0.0, math.inf), (2.5, math.inf)])
+    def test_is_the_one_layer_schedule(self, a, b):
+        assert truncated_stop_loss(a, b) == schedule_from_layers([Layer(a, b)])
+
 
 class TestEvaluate:
     def test_zero_schedule(self):
@@ -95,6 +99,14 @@ class TestCanonicalForm:
             IndemnitySchedule((0.0, 1.0), (0.0, 1.5))
         with pytest.raises(ValueError, match="strictly increasing"):
             IndemnitySchedule((0.0, 1.0, 1.0), (0.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            IndemnitySchedule((0.0, math.nan, 2.0), (0.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            IndemnitySchedule((0.0, 1.0, math.inf), (0.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="slopes"):
+            IndemnitySchedule((0.0,), (math.nan,))
+        with pytest.raises(ValueError, match="slopes"):
+            IndemnitySchedule((0.0, 1.0, 2.0), (0.0, math.nan, 0.0))
 
 
 class TestRescale:
@@ -140,3 +152,47 @@ def test_schedules_are_monotone_lipschitz_and_bounded(bps, slopes):
     assert np.all(diffs <= steps + 1e-12)
     assert np.all(vals >= -1e-12)
     assert np.all(vals <= xs + 1e-12)
+
+
+def test_empty_layer_list_is_the_shared_zero_schedule():
+    assert schedule_from_layers([]) is zero_schedule()
+    assert full_cession() == IndemnitySchedule((0.0,), (1.0,))
+
+
+@st.composite
+def disjoint_layers(draw):
+    """Layers in increasing order: some adjacent, the first possibly at 0, the last possibly unbounded."""
+    cursor, layers = 0.0, []
+    for _ in range(draw(st.integers(0, 5))):
+        attachment = cursor + draw(st.just(0.0) | st.floats(0.01, 10.0))
+        cursor = attachment + draw(st.floats(0.01, 10.0))
+        layers.append(Layer(attachment, cursor))
+    if layers and draw(st.booleans()):
+        layers[-1] = Layer(layers[-1].attachment, math.inf)
+    return layers
+
+
+def _merge_adjacent(layers):
+    out = []
+    for layer in layers:
+        if out and out[-1].detachment == layer.attachment:
+            out[-1] = Layer(out[-1].attachment, layer.detachment)
+        else:
+            out.append(layer)
+    return out
+
+
+@given(layers=disjoint_layers(), order=st.randoms(), xs=st.lists(st.floats(0.0, 110.0), min_size=1, max_size=5))
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_schedule_from_layers_pays_the_sum_of_its_layers(layers, order, xs):
+    shuffled = list(layers)
+    order.shuffle(shuffled)
+    schedule = schedule_from_layers(shuffled)
+    assert schedule.layers() == _merge_adjacent(layers)
+    for x in xs:
+        expected = sum(min(max(x - l.attachment, 0.0), l.detachment - l.attachment) for l in layers)
+        assert schedule.evaluate(x) == pytest.approx(expected, abs=1e-9)
+    # the segments tile [0, inf) with the stored breakpoints and slopes
+    starts, ends, slopes = zip(*schedule.segments())
+    assert starts == schedule.breakpoints and slopes == schedule.slopes
+    assert ends == starts[1:] + (math.inf,)

@@ -16,6 +16,7 @@ from layeropt import (
     Pareto,
     portfolio_normal_model,
 )
+from layeropt.losses import LossModel
 
 ALL_MODELS = [
     Exponential(1.0),
@@ -112,6 +113,10 @@ class TestEmpiricalTable:
             EmpiricalTable((0.0, 1.0, 2.0), (0.0, 0.5, 0.5))
         with pytest.raises(ValueError, match="probability 0"):
             EmpiricalTable((1.0, 2.0), (0.3, 1.0))
+        for xs, ps in [((0.0, 1.0, 2.0), (0.0, 0.5, math.nan)), ((0.0, 1.0, math.nan), (0.0, 0.5, 0.9)),
+                       ((0.0, 1.0, math.inf), (0.0, 0.5, 0.9)), ((0.0, 1.0, 2.0), (0.0, math.nan, 0.9))]:
+            with pytest.raises(ValueError, match="finite"):
+                EmpiricalTable(xs, ps)
 
     def test_from_csv(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -241,8 +246,36 @@ class TestPortfolioNormal:
             portfolio_normal_model(0, 1.0, 1.0)
 
 
+# each primitive with a valid scalar argument, invalid ones, and the refusal message
+LEVEL_ERROR, PROB_ERROR = "x must be nonnegative", r"probability must lie strictly inside \(0, 1\)"
+PRIMITIVES = {
+    "cdf": (0.5, (-0.5, -1e-300), LEVEL_ERROR),
+    "sf": (0.5, (-0.5, -1e-300), LEVEL_ERROR),
+    "tail_integral": (0.5, (-0.5, -1e-300), "t must be nonnegative"),
+    "quantile": (0.5, (0.0, 1.0, -0.1, 1.5), PROB_ERROR),
+    "isf": (0.5, (0.0, 1.0, -0.1, 1.5), PROB_ERROR),
+}
+
+
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.family}")
 class TestFamilyInvariants:
+    @pytest.mark.parametrize("name", PRIMITIVES)
+    def test_primitive_refuses_out_of_range_input(self, model, name):
+        _, bad_values, message = PRIMITIVES[name]
+        for bad in bad_values:
+            with pytest.raises(ValueError, match=message):
+                getattr(model, name)(bad)
+            with pytest.raises(ValueError, match=message):
+                getattr(model, name)(np.array([[0.5, bad]]))
+
+    @pytest.mark.parametrize("name", PRIMITIVES)
+    def test_primitive_returns_float_for_scalar_and_array_for_array(self, model, name):
+        good = PRIMITIVES[name][0]
+        assert type(getattr(model, name)(good)) is float
+        assert type(getattr(model, name)(np.asarray(good))) is float
+        out = getattr(model, name)(np.full((2, 3), good))
+        assert isinstance(out, np.ndarray) and out.shape == (2, 3)
+
     def test_mean_equals_tail_integral_at_zero(self, model):
         assert model.tail_integral(0.0) == pytest.approx(model.mean, abs=1e-8)
 
@@ -323,3 +356,11 @@ def test_rescale_identity_is_identity():
 def test_rescaled_exponential_quantile():
     m = Exponential(1.0).rescale(3.0)
     assert m.quantile(0.95) == pytest.approx(3.0 * math.log(20.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("missing", ["_cdf", "_quantile", "_sf", "_isf", "_tail_integral"])
+def test_family_missing_a_primitive_fails_at_construction(missing):
+    names = {"mean", "rescale", "_cdf", "_quantile", "_sf", "_isf", "_tail_integral"} - {missing}
+    family = type("Partial", (LossModel,), {name: lambda self, *args: None for name in names})
+    with pytest.raises(TypeError, match=missing):
+        family()

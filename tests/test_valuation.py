@@ -39,6 +39,11 @@ class TestMarketSpec:
         with pytest.raises(ValueError):
             MarketSpec(gamma=0.0, epsilon=0.05)
 
+    @pytest.mark.parametrize("beta", [-0.1, math.nan, math.inf])
+    def test_beta_finite_and_nonnegative(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            MarketSpec(gamma=0.1, epsilon=0.05, beta=beta)
+
     def test_measure_normalized(self):
         assert MarketSpec(gamma=0.1, epsilon=0.05, risk_measure="CVaR").risk_measure == CVAR
 
