@@ -231,17 +231,14 @@ def _best_single_layer(mu: float, model, kernel, market: MarketSpec) -> Indemnit
     return truncated_stop_loss(*((a1, b1), (a2, b2), (a1, b2))[best])
 
 
-def best_truncated_stop_loss(
-    model, kernel, market: MarketSpec, *, grid_size: int = 200, tol: float = 1e-10
-) -> OptimResult:
+def best_truncated_stop_loss(model, kernel, market: MarketSpec, *, tol: float = 1e-10) -> OptimResult:
     """Maximize the ratio over single layers [a, b) and no cession.
 
     Dinkelbach iteration restricted to single layers (``_best_single_layer``),
     so interior edges meet the first-order conditions, e.g. K(F(a)) = ratio.
-    ``tol`` is the multiplier tolerance; ``grid_size`` is unused, kept for
-    compatibility.  Raises ``NonpositiveRiskError`` in the infinite-ratio
-    regime (solvency fails: a layer cedes all retained risk at a profit) and
-    ``ValueError`` unless ``tol`` is positive and finite.
+    ``tol`` is the multiplier tolerance.  Raises ``NonpositiveRiskError`` in
+    the infinite-ratio regime (solvency fails: a layer cedes all retained risk
+    at a profit) and ``ValueError`` unless ``tol`` is positive and finite.
     """
     return _dinkelbach(_best_single_layer, model, kernel, market, None, tol, 100)
 

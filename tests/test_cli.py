@@ -257,6 +257,38 @@ def test_exit_two_on_table_entry_that_is_not_finite(tmp_path, capsys, row):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line, value, command, out_name",
+    [
+        ("gamma = 0.05, 0.1", "gamma = abc", "check", "out.csv"),
+        ("optimize = true", "optimize = maybe", "sweep", "out.csv"),
+        ("n = 100, 1000, 10000", "n = x", "asymptotics", "out.csv"),
+        ("n = 100, 1000, 10000", "n = 1e400", "check", "out.csv"),
+        ("n = 100, 1000, 10000", "n = 100.7", "asymptotics", "out.csv"),
+        ("layers = [[1.0, 2.995732273553991]]", "layers = [[1.0, 3.0], [2.0, 4.0]]", "evaluate", "out.csv"),
+        ("epsilon = 0.05\noptimize", "epsilon = 0.7\noptimize", "sweep", "out.csv"),
+        ("gamma_r = 0.1, 0.2", "gamma_r = -0.2", "sweep", "out.csv"),
+        ("gamma = 0.05, 0.1", "gamma = 0", "sweep", "out.csv"),
+        ("gamma = 0.05, 0.1", "gamma = nan", "sweep", "out.csv"),
+        ("unit_sd = 1.0", "unit_sd = 1%", "check", "out.csv"),
+        ("family = exponential", "family = exponential%", "check", "out.csv"),
+        ("command = check", "command = check", "check", "missing/out.csv"),
+    ],
+)
+def test_exit_two_on_bad_config_value(tmp_path, capsys, line, value, command, out_name):
+    # demos/baseline.ini with one line changed, or an output path in a missing directory
+    text = BASELINE_INI.read_text()
+    assert line in text
+    path = tmp_path / "cfg.ini"
+    path.write_text(text.replace(line, value))
+    out = tmp_path / out_name
+    assert main(["--config", str(path), "--command", command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1e-10", "nan", "inf", "tight"])
 @pytest.mark.parametrize("key", ["tol_quad", "tol_root"])
 def test_tolerance_in_config_must_be_positive_and_finite(key, value):
