@@ -175,19 +175,6 @@ def curve_cost(model, curve, a: float, b: float, *, tol: float = 1e-10) -> float
     return _finite_cost(model, curve, a, b, tol)
 
 
-def cumulative_kernel_cost(model, kernel, grid) -> np.ndarray:
-    """Cumulative integral of K(F(x)) along a sorted grid (knots must be in it).
-
-    One fixed 24-node Gauss-Legendre panel of the engine behind ``curve_cost``
-    per grid step, with no bisection: exact to rounding for the smooth
-    integrands between a dense grid's points, and a single vectorized call
-    however large the grid.  No solver in the package calls it; the tests use
-    it as the fixed-panel dense-grid reference for ``curve_cost``.
-    """
-    grid = np.asarray(grid, dtype=float)
-    return np.concatenate([[0.0], np.cumsum(_panel_costs(model, kernel, grid[:-1], grid[1:]))])
-
-
 def bisect_root(func, lo: float, hi: float, *, xtol: float = 1e-12, max_iter: int = 200) -> float:
     """Plain bisection for a bracketed sign change; returns the midpoint of the last bracket."""
     flo = func(lo)

@@ -4,8 +4,8 @@ Commands: evaluate, optimize, check, sweep, asymptotics.  Each decision has
 one owner.  ``_SCHEMA`` lists the keys each section accepts ([model] and
 [kernel] by ``family``), and unknown sections or keys abort so sweep
 campaigns cannot silently drift.  ``_read`` is the one conversion: every
-missing or invalid value, sweep grid values included, becomes a
-``ConfigError``.  ``_validate_command`` checks what the command needs, once
+missing or invalid value, sweep grids and portfolio sizes included, becomes
+a ``ConfigError``.  ``_validate_command`` checks what the command needs, once
 for the file and again after command-line overrides.  Every config fault
 exits with status 2, solver failures with status 3; a sweep still writes
 every row and marks the cells whose solve failed.  ``run`` is the one
@@ -25,7 +25,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from .conditions import asymptotic_profit_gaps, check_conditions
+from .conditions import _portfolios, asymptotic_profit_gaps, check_conditions
 from .contracts import IndemnitySchedule, Layer, schedule_from_layers
 from .kernels import CappedLinearDistortion, PowerDistortion, PricingKernel, QuadraticCurve, from_distortion
 from .losses import EmpiricalTable, Exponential, Gamma, Lognormal, Pareto, _check_positive
@@ -176,7 +176,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"config syntax: {exc}") from exc
+        raise ConfigError(f"config syntax: {' '.join(str(exc).split())}") from exc
     unknown = set(parser.sections()) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown sections: {sorted(unknown)}")
@@ -190,8 +190,9 @@ def parse_config(text: str) -> RunConfig:
         if name in parser:
             fields.update(_section(parser, name))
     config = RunConfig(**fields)
-    # the market and the kernel own the ranges of the grid values
+    # the market and the kernel own the ranges of the grid values, the portfolio model those of its sizes
     _read("[sweep]", _cells, config)
+    _read("[asymptotics]", _portfolios, config.asym_n, config.asym_unit_mean, config.asym_unit_sd)
     _validate_command(config)
     return config
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._integrate import bisect_root, curve_cost
 from .kernels import BaseCurve, PricingKernel, QuadraticCurve
-from .losses import Pareto, portfolio_normal_model
+from .losses import Pareto, _loss_at, portfolio_normal_model
 from .valuation import VAR, MarketSpec
 
 SINGLE_LAYER = "single-layer"
@@ -97,7 +97,7 @@ def attachment_balance(a: float, gamma: float, model, base: BaseCurve, market: M
 
     The kernel is loaded with gamma_r equal to the primary loading gamma (the
     worst admissible case); the fixed-point attachment of the best stop loss
-    is exactly where this quantity equals gamma.
+    is exactly where this quantity equals gamma * E X.
     """
     x_eps = model.var_level(market.epsilon)
     if not (0.0 <= a <= x_eps):
@@ -127,7 +127,7 @@ def critical_attachment(gamma: float, model, base: BaseCurve, epsilon: float) ->
 
     Loaded at gamma_r = gamma, K(1 - s) equals gamma at s = 1 and at one
     survival level below its peak, the lo of ``crossings(gamma)``, which maps
-    to a loss through ``model.isf``.  The attachment is zero when the kernel
+    to a loss through ``_loss_at``.  The attachment is zero when the kernel
     never rises above gamma (from the upper loading threshold on) and caps at
     the VaR level, the largest attachment of interest, at or below the exact
     lower endpoint.
@@ -139,11 +139,7 @@ def critical_attachment(gamma: float, model, base: BaseCurve, epsilon: float) ->
     if gamma < g_lo - 1e-12 or gamma > g_hi + 1e-12:
         raise ValueError(f"gamma={gamma:g} outside the loading interval [{g_lo:g}, {g_hi:g}]")
     s_root, _, _, top = PricingKernel(base, gamma).crossings(gamma)
-    if top <= gamma:
-        return 0.0
-    x_eps = model.var_level(epsilon)
-    # isf and the quantile behind the VaR level round differently, so cap the former
-    return x_eps if s_root <= epsilon else min(float(model.isf(s_root)), x_eps)
+    return 0.0 if top <= gamma else _loss_at(model, s_root, epsilon, model.var_level(epsilon))
 
 
 @dataclass(frozen=True)
@@ -165,8 +161,9 @@ def balance_concavity_scan(
     """Sample the balance at the critical attachment across the loading interval.
 
     Verifies the discrete midpoint concavity of gamma -> balance and reports
-    the minimum of balance - gamma; in the single-layer regime that minimum
-    is nonnegative.  An infinite upper threshold is capped at ``gamma_cap``.
+    the minimum of balance - gamma * E X, which scales with the loss like the
+    balance; in the single-layer regime that minimum is nonnegative.  An
+    infinite upper threshold is capped at ``gamma_cap``.
     """
     if n_points < 5:
         raise ValueError("need at least 5 scan points")
@@ -178,7 +175,7 @@ def balance_concavity_scan(
     gammas = np.linspace(g_lo, g_hi_eff, n_points)
     attachments = np.array([critical_attachment(g, model, base, eps) for g in gammas])
     balances = np.array([attachment_balance(a, g, model, base, market, tol=1e-12) for a, g in zip(attachments, gammas)])
-    margins = balances - gammas
+    margins = balances - gammas * model.mean
     interior = 0.5 * (balances[:-2] + balances[2:]) - balances[1:-1]
     return BalanceScanReport(
         gammas=tuple(gammas),
@@ -202,6 +199,14 @@ class AsymptoticRow:
     gap_times_sqrt_n: float
 
 
+def _portfolios(n_values, unit_mean: float, unit_sd: float) -> list:
+    """(n, portfolio model) per size n >= 10; building the models loads no scipy."""
+    sizes = [int(n) for n in n_values]
+    if any(n < 10 for n in sizes):
+        raise ValueError("the normal approximation needs n >= 10")
+    return [(n, portfolio_normal_model(n, unit_mean, unit_sd)) for n in sizes]
+
+
 def asymptotic_profit_gaps(n_values, unit_mean: float, unit_sd: float, kernel: PricingKernel, market: MarketSpec):
     """Profit of full cession below the VaR level, per unit of expected loss.
 
@@ -210,11 +215,7 @@ def asymptotic_profit_gaps(n_values, unit_mean: float, unit_sd: float, kernel: P
     portfolio size; each row reports the remaining gap.
     """
     rows = []
-    for n in n_values:
-        n = int(n)
-        if n < 10:
-            raise ValueError("the normal approximation needs n >= 10")
-        model = portfolio_normal_model(n, unit_mean, unit_sd)
+    for n, model in _portfolios(n_values, unit_mean, unit_sd):
         x_eps = model.var_level(market.epsilon)
         cost = curve_cost(model, kernel, 0.0, x_eps, tol=1e-11)
         mean = model.mean
@@ -265,7 +266,8 @@ def find_tail_condition_violation(search: ViolationSearchSpec = ViolationSearchS
         model = Pareto.with_mean(shape, 1.0)
         base = QuadraticCurve(c)
         x_eps = model.var_level(eps)
-        tail_lhs = c * float(model.tail_integral(x_eps))
+        tail_int = float(model.tail_integral(x_eps))
+        tail_lhs = c * tail_int
         tail_rhs = curve_cost(model, base, 0.0, x_eps, tol=1e-13)
         if tail_lhs <= tail_rhs:
             continue
@@ -279,12 +281,12 @@ def find_tail_condition_violation(search: ViolationSearchSpec = ViolationSearchS
             )
         if not math.isfinite(g_hi):
             continue
-        tail_int = float(model.tail_integral(x_eps))
         g_cap = tail_rhs / (tail_int - tail_rhs)  # solvency boundary for gamma_r = gamma
         if not (search.min_gamma_fraction * g_hi <= g_cap < g_hi):
             continue
 
         def margin(g: float) -> float:
+            # balance - g * E X, with E X = 1 for every model of this search
             a = critical_attachment(g, model, base, eps)
             return attachment_balance(a, g, model, base, MarketSpec(g, eps), tol=1e-13) - g
 

@@ -259,6 +259,11 @@ class DistortionCurve(BaseCurve):
     distortion: Distortion
     family = "distortion"
 
+    def __post_init__(self):
+        # PricingKernel checks the endpoints and the concavity of g(s) - s; g(s) >= s is checked here
+        if np.any(np.asarray(self.distortion.value(_CONCAVITY_GRID)) < _CONCAVITY_GRID - 1e-12):
+            raise ValueError("distortion must dominate the identity, g(s) >= s")
+
     def survival_value(self, s):
         s = np.asarray(s, dtype=float)
         return _ret(np.asarray(self.distortion.value(s)) - s)
@@ -371,14 +376,5 @@ def quadratic_kernel(c: float, gamma_r: float) -> PricingKernel:
 
 
 def from_distortion(distortion: Distortion, gamma_r: float) -> PricingKernel:
-    """Build a kernel from a concave distortion, validating the distortion itself."""
-    s = np.linspace(0.0, 1.0, 201)
-    g = np.asarray(distortion.value(s))
-    if abs(g[0]) > 1e-12 or abs(g[-1] - 1.0) > 1e-12:
-        raise ValueError("distortion must satisfy g(0) = 0 and g(1) = 1")
-    if np.any(g < s - 1e-12):
-        raise ValueError("distortion must dominate the identity, g(s) >= s")
-    mid = np.asarray(distortion.value(0.5 * (s[:-1] + s[1:])))
-    if np.any(mid < 0.5 * (g[:-1] + g[1:]) - 1e-10):
-        raise ValueError("distortion fails the concavity midpoint test")
+    """Build a kernel from a concave distortion; ``DistortionCurve`` and ``PricingKernel`` validate it."""
     return PricingKernel(DistortionCurve(distortion), gamma_r)

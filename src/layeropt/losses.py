@@ -132,6 +132,12 @@ def _check_positive(value: float, name: str):
         raise ValueError(f"{name} must be a positive finite number")
 
 
+def _loss_at(model, s: float, eps: float, x_eps: float) -> float:
+    """Loss level ``isf(s)`` of survival level s, capped at the VaR level x_eps of eps,
+    whose quantile rounds differently from isf."""
+    return 0.0 if s >= 1.0 else x_eps if s <= eps else min(float(model.isf(s)), x_eps)
+
+
 @dataclass(frozen=True)
 class Exponential(LossModel):
     """Exponential loss with the given mean."""

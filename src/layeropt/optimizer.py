@@ -32,7 +32,7 @@ from .contracts import (
     truncated_stop_loss,
     zero_schedule,
 )
-from .losses import _check_positive
+from .losses import _check_positive, _loss_at
 from .valuation import CVAR, MarketSpec, NonpositiveRiskError, Valuation, criterion, expected_profit, risk_ledger
 
 _WIDTH_TOL = 1e-12
@@ -66,11 +66,6 @@ def _finish(schedule: IndemnitySchedule, model, kernel, market, mu_trace=(), val
         valuation = criterion(model, kernel, schedule, market)
     lays = schedule.layers()
     return OptimResult(schedule, valuation, tuple(mu_trace), len(lays), _classify(len(lays)))
-
-
-def _loss_at(model, s: float, eps: float, x_eps: float) -> float:
-    """Loss level of survival level s, capped at the VaR level x_eps = isf(eps)."""
-    return 0.0 if s >= 1.0 else x_eps if s <= eps else min(float(model.isf(s)), x_eps)
 
 
 def marginal_gain(x, mu: float, model, kernel, market: MarketSpec):

@@ -14,6 +14,19 @@ from layeropt import (
     QuadraticCurve,
     check_conditions,
 )
+from layeropt._integrate import _panel_costs
+
+
+def cumulative_kernel_cost(model, kernel, grid):
+    """Cumulative integral of K(F(x)) along a sorted grid (knots must be in it).
+
+    One fixed 24-node Gauss-Legendre panel of the engine behind ``curve_cost``
+    per grid step, with no bisection: exact to rounding for the smooth
+    integrands between a dense grid's points, and the tests' fixed-panel
+    dense-grid reference for ``curve_cost``.
+    """
+    grid = np.asarray(grid, dtype=float)
+    return np.concatenate([[0.0], np.cumsum(_panel_costs(model, kernel, grid[:-1], grid[1:]))])
 
 
 def make_hypothesis_instances(count=50, seed=20240901):

@@ -33,7 +33,7 @@ from layeropt import (
     quadratic_kernel,
     solve_attachment_fixed_point,
 )
-from layeropt._integrate import cumulative_kernel_cost
+from conftest import cumulative_kernel_cost
 
 BASELINE_MODEL = Exponential(1.0)
 BASELINE_BASE = QuadraticCurve(0.5)

@@ -273,6 +273,12 @@ def test_exit_two_on_table_entry_that_is_not_finite(tmp_path, capsys, row):
         ("unit_sd = 1.0", "unit_sd = 1%", "check", "out.csv"),
         ("family = exponential", "family = exponential%", "check", "out.csv"),
         ("command = check", "command = check", "check", "missing/out.csv"),
+        ("n = 100, 1000, 10000", "n = 5", "asymptotics", "out.csv"),
+        ("n = 100, 1000, 10000", "n = 100, 5", "check", "out.csv"),
+        ("unit_mean = 1.0", "unit_mean = -1", "asymptotics", "out.csv"),
+        ("unit_sd = 1.0", "unit_sd = 0", "check", "out.csv"),
+        ("# Running example for the command-line front end.", "text before any section", "check", "out.csv"),
+        ("optimize = true", "optimize", "sweep", "out.csv"),
     ],
 )
 def test_exit_two_on_bad_config_value(tmp_path, capsys, line, value, command, out_name):

@@ -205,11 +205,16 @@ class TestJointShapePrediction:
                 assert result.valuation.ratio >= tsl.valuation.ratio - 1e-8
 
     def test_balance_margin_nonnegative_across_families(self):
-        for model in (Exponential(1.0), MODEL.rescale(1.0)):
-            scan = balance_concavity_scan(model, QuadraticCurve(0.7), MARKET, 31)
-            assert scan.min_balance_margin >= -1e-8
-            assert scan.endpoint_low >= scan.gammas[0] - 1e-8
-            assert scan.endpoint_high >= scan.gammas[-1] - 1e-8
+        # the margin is balance - gamma * E X, so margin / E X does not depend on the unit of money
+        for unit in (Exponential(1.0), Gamma.from_mean(1.0, 2.0)):
+            per_mean = []
+            for model in (unit, unit.rescale(0.4), unit.rescale(0.5), unit.rescale(3.0)):
+                scan = balance_concavity_scan(model, QuadraticCurve(0.7), MARKET, 31)
+                assert scan.min_balance_margin >= -1e-8
+                assert scan.endpoint_low >= scan.gammas[0] * model.mean - 1e-8
+                assert scan.endpoint_high >= scan.gammas[-1] * model.mean - 1e-8
+                per_mean.append(scan.min_balance_margin / model.mean)
+            assert per_mean == pytest.approx([per_mean[0]] * len(per_mean), rel=1e-12)
 
 
 class TestViolationSearch:

@@ -18,7 +18,7 @@ from layeropt import (
     lagrange_optimum,
     quadratic_kernel,
 )
-from layeropt.kernels import BaseCurve
+from layeropt.kernels import BaseCurve, Distortion
 
 BASELINE = quadratic_kernel(0.5, 0.1)
 
@@ -78,6 +78,29 @@ class TestLoadedKernel:
         assert k_star == pytest.approx(0.1 + 0.45**2 / (4 * 0.55), abs=1e-12)
 
 
+class InterpolatedSquare(Distortion):
+    """The convex s**2 interpolated linearly on the 201-point concavity grid.
+
+    Every midpoint of that grid lies on a chord, so the midpoint test alone
+    passes it, yet g(s) < s inside (0, 1) and K0 dips to -0.25.
+    """
+
+    grid = np.linspace(0.0, 1.0, 201)
+
+    def value(self, s):
+        return np.interp(s, self.grid, self.grid**2)
+
+    def slope_at_one(self) -> float:
+        return 0.5
+
+    def tilted_peak(self, tau: float) -> float:
+        return 1.0
+
+    @property
+    def survival_exponent(self) -> float:
+        return 1.0
+
+
 class TestFromDistortion:
     def test_identity_is_risk_neutral(self):
         k = from_distortion(PowerDistortion(1.0), 0.1)
@@ -85,9 +108,16 @@ class TestFromDistortion:
         np.testing.assert_allclose(np.asarray(k.k0(u)), 0.0, atol=1e-15)
         np.testing.assert_allclose(np.asarray(k.k(u)), 0.1 * (1.0 - u), atol=1e-15)
 
-    def test_convex_distortion_rejected(self):
+    @pytest.mark.parametrize(
+        "build",
+        [from_distortion, lambda g, gamma_r: PricingKernel(DistortionCurve(g), gamma_r)],
+        ids=["from_distortion", "DistortionCurve"],
+    )
+    @pytest.mark.parametrize("distortion", [PowerDistortion(2.0), InterpolatedSquare()], ids=["power-2", "interpolated"])
+    def test_convex_distortion_rejected(self, build, distortion):
+        # both constructors validate the distortion on the one path through DistortionCurve
         with pytest.raises(ValueError, match="dominate the identity"):
-            from_distortion(PowerDistortion(2.0), 0.1)
+            build(distortion, 0.1)
 
     def test_capped_linear_accepted_at_slope_boundary(self):
         k = from_distortion(CappedLinearDistortion(2.0), 0.1)

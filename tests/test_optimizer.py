@@ -43,7 +43,8 @@ from layeropt import (
     truncated_stop_loss,
     zero_schedule,
 )
-from layeropt._integrate import cumulative_kernel_cost, curve_cost, purchasable
+from conftest import cumulative_kernel_cost
+from layeropt._integrate import curve_cost, purchasable
 from layeropt.valuation import risk_ledger
 
 MODEL = Exponential(1.0)
