@@ -83,15 +83,22 @@ def _contract(raw: str) -> IndemnitySchedule:
     return schedule_from_layers([Layer(float(a), math.inf if b == "inf" else float(b)) for a, b in pairs])
 
 
+def _given(s, key: str, rival: str) -> bool:
+    """Whether the section gives ``key``; giving ``rival`` too is refused, since both set the loss scale."""
+    if key in s and rival in s:
+        raise ValueError(f"{key!r} and {rival!r} both set the loss scale; give one of them")
+    return key in s
+
+
 # [model] family: (its keys besides family, its model from the section)
 _MODELS = {
     "exponential": ({"mean"}, lambda s: Exponential(s.getfloat("mean", 1.0))),
     "pareto": ({"shape", "scale", "mean"}, lambda s: Pareto.with_mean(float(s["shape"]), float(s["mean"]))
-               if "mean" in s else Pareto(float(s["shape"]), s.getfloat("scale", 1.0))),
+               if _given(s, "mean", "scale") else Pareto(float(s["shape"]), s.getfloat("scale", 1.0))),
     "lognormal": ({"mu", "sigma", "mean"}, lambda s: Lognormal(float(s["mu"]), float(s["sigma"]))
-                  if "mu" in s else Lognormal.from_mean(s.getfloat("mean", 1.0), float(s["sigma"]))),
+                  if _given(s, "mu", "mean") else Lognormal.from_mean(s.getfloat("mean", 1.0), float(s["sigma"]))),
     "gamma": ({"shape", "scale", "mean"}, lambda s: Gamma.from_mean(float(s["mean"]), float(s["shape"]))
-              if "mean" in s else Gamma(float(s["shape"]), s.getfloat("scale", 1.0))),
+              if _given(s, "mean", "scale") else Gamma(float(s["shape"]), s.getfloat("scale", 1.0))),
     "empirical-table": ({"path"}, lambda s: EmpiricalTable.from_csv(s["path"])),
 }
 

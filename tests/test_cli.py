@@ -279,6 +279,10 @@ def test_exit_two_on_table_entry_that_is_not_finite(tmp_path, capsys, row):
         ("unit_sd = 1.0", "unit_sd = 0", "check", "out.csv"),
         ("# Running example for the command-line front end.", "text before any section", "check", "out.csv"),
         ("optimize = true", "optimize", "sweep", "out.csv"),
+        # two keys that both set the loss scale, next to the kept "mean = 1.0"
+        ("family = exponential", "family = lognormal\nmu = 3.0\nsigma = 0.5", "check", "out.csv"),
+        ("family = exponential", "family = pareto\nshape = 2.0\nscale = 3.0", "check", "out.csv"),
+        ("family = exponential", "family = gamma\nshape = 2.0\nscale = 3.0", "check", "out.csv"),
     ],
 )
 def test_exit_two_on_bad_config_value(tmp_path, capsys, line, value, command, out_name):

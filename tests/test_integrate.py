@@ -189,13 +189,14 @@ import layeropt
 from layeropt.cli import main
 
 config, pareto_config, out = sys.argv[1:]
-for command in ("check", "optimize", "evaluate", "sweep"):
+for command in ("check", "optimize", "evaluate", "sweep", "asymptotics"):
     assert main(["--config", config, "--command", command, "--out", out]) == 0, command
 assert main(["--config", pareto_config, "--out", out]) == 0, "pareto evaluate"
 models = (
     layeropt.Exponential(1.0),
     layeropt.Pareto.with_mean(2.0),
     layeropt.EmpiricalTable((0.0, 0.5, 2.0, 5.0), (0.1, 0.4, 0.8, 0.97)),
+    layeropt.portfolio_normal_model(100, 1.0, 1.0),
 )
 kernel = layeropt.quadratic_kernel(0.5, 0.1)
 for model in models:
@@ -204,16 +205,6 @@ for model in models:
         layeropt.best_truncated_stop_loss(model, kernel, market)
         layeropt.dinkelbach_optimize(model, kernel, market)
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-assert not loaded, loaded
-"""
-
-_ASYMPTOTICS = """
-import sys
-from layeropt.cli import main
-
-assert main(["--config", sys.argv[1], "--command", "asymptotics", "--out", sys.argv[2]]) == 0
-assert "scipy.special" in sys.modules
-loaded = sorted(name for name in sys.modules if name.startswith(("scipy.integrate", "scipy.optimize")))
 assert not loaded, loaded
 """
 
@@ -249,18 +240,13 @@ def _fresh_interpreter(script, *args):
 
 
 def test_numpy_only_paths_never_import_scipy(tmp_path):
-    # import, four CLI commands on the baseline, a Pareto(2) evaluate and both
-    # solvers on exponential, Pareto and empirical-table losses under both
-    # measures, in one fresh interpreter: no scipy module is loaded at all
+    # import, all five CLI commands on the baseline, a Pareto(2) evaluate and
+    # both solvers on exponential, Pareto, empirical-table and portfolio-normal
+    # losses under both measures, in one fresh interpreter: no scipy module is
+    # loaded at all
     pareto_config = tmp_path / "pareto2.ini"
     pareto_config.write_text(_PARETO2_EVALUATE)
     result = _fresh_interpreter(_NUMPY_ONLY, ROOT / "demos" / "baseline.ini", pareto_config, tmp_path / "out.csv")
-    assert result.returncode == 0, result.stderr
-
-
-def test_asymptotics_loads_only_scipy_special(tmp_path):
-    # the portfolio-normal model needs ndtr and ndtri, and nothing else of scipy
-    result = _fresh_interpreter(_ASYMPTOTICS, ROOT / "demos" / "baseline.ini", tmp_path / "out.csv")
     assert result.returncode == 0, result.stderr
 
 

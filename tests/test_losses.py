@@ -245,6 +245,27 @@ class TestPortfolioNormal:
         with pytest.raises(ValueError):
             portfolio_normal_model(0, 1.0, 1.0)
 
+    def test_quantile_just_below_one(self):
+        # p * keep + Phi(z0) rounds to 1 here, which the inverse maps to the end of the support
+        m = portfolio_normal_model(1, 1.0, 1.0)
+        assert m.quantile(np.nextafter(1.0, 0.0)) >= m.quantile(1.0 - 1e-15) > 8.0
+
+    @pytest.mark.parametrize("s", [0.5, 0.1, 1e-6, 1e-16, 1e-50, 1e-100, 1e-300])
+    @pytest.mark.parametrize("n", [10, 10_000])
+    def test_survival_primitives_match_mpmath(self, n, s):
+        # isf to 1e-15; sf at the same double x only to about z**2 * u, since
+        # rounding z = (x - location) / spread by u moves Q(z) by z**2 * u
+        m = portfolio_normal_model(n, 1.0, 1.0)
+        x = float(m.isf(s))
+        with mp.workdps(40):
+            loc, spread = mp.mpf(m.location), mp.mpf(m.spread)
+            target = mp.log(mp.mpf(s) * mp.ncdf(loc / spread))
+            z = mp.findroot(lambda z: mp.log(mp.ncdf(-z)) - target, (x - m.location) / m.spread)
+            want_x = loc + spread * z
+            want_s = mp.ncdf((loc - mp.mpf(x)) / spread) / mp.ncdf(loc / spread)
+        assert abs(x - want_x) <= 1e-15 * want_x
+        assert abs(float(m.sf(x)) - want_s) <= (2e-14 if s >= 1e-16 else 3e-13) * want_s
+
 
 # each primitive with a valid scalar argument, invalid ones, and the refusal message
 LEVEL_ERROR, PROB_ERROR = "x must be nonnegative", r"probability must lie strictly inside \(0, 1\)"
