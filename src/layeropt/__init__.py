@@ -5,6 +5,7 @@ from .conditions import (
     AsymptoticRow,
     BalanceScanReport,
     ConditionReport,
+    RegimeMap,
     ViolationInstance,
     ViolationSearchSpec,
     asymptotic_profit_gaps,
@@ -14,6 +15,7 @@ from .conditions import (
     critical_attachment,
     find_tail_condition_violation,
     gamma_lower_exact,
+    regime_map,
 )
 from .contracts import (
     IndemnitySchedule,
@@ -72,12 +74,12 @@ __all__ = [
     "ConditionReport", "DegenerateTailError", "DistortionCurve", "EmpiricalTable", "Exponential",
     "Gamma", "IndemnitySchedule", "InfiniteMeanError", "Layer", "Lognormal", "MarketSpec",
     "NonpositiveRiskError", "OptimResult", "Pareto", "PortfolioNormal", "PowerDistortion",
-    "PricingKernel", "QuadraticCurve", "UnpurchasableCoverError", "VAR", "Valuation", "ViolationInstance",
-    "ViolationSearchSpec", "asymptotic_profit_gaps", "attachment_balance",
+    "PricingKernel", "QuadraticCurve", "RegimeMap", "UnpurchasableCoverError", "VAR", "Valuation",
+    "ViolationInstance", "ViolationSearchSpec", "asymptotic_profit_gaps", "attachment_balance",
     "balance_concavity_scan", "best_truncated_stop_loss", "check_conditions", "criterion",
     "critical_attachment", "dinkelbach_optimize", "discrete_bruteforce_oracle",
     "expected_profit", "find_tail_condition_violation", "from_distortion", "full_cession",
     "gamma_lower_exact", "lagrange_optimum", "marginal_gain", "portfolio_normal_model",
-    "quadratic_kernel", "reinsurer_surplus", "retained_risk", "schedule_from_layers",
+    "quadratic_kernel", "regime_map", "reinsurer_surplus", "retained_risk", "schedule_from_layers",
     "solve_attachment_fixed_point", "truncated_stop_loss", "zero_schedule",
 ]

@@ -9,12 +9,26 @@ Four conditions govern the answer for a (model, kernel, market) triple:
 * tail: the base-curve slope at zero times the tail integral beyond the VaR
   level does not exceed the base-curve mass below it.
 
+Since K(1 - s) = (1 + gamma_r) * K0(1 - s) + gamma_r * s, three numbers of
+the (model, base curve, epsilon) triple fix every condition at every
+loading: C0, the integral of K0(F) over [0, x_eps); TI(x_eps), the tail
+integral beyond the VaR level; and E X.  Ceding [0, x_eps) costs
+(1 + gamma_r) * C0 + gamma_r * (E X - TI(x_eps)), so
+
+* solvency = gamma * E X - (1 + gamma_r) * C0 - gamma_r * (E X - TI(x_eps)),
+* the tail condition compares K0'(0) * TI(x_eps) with C0,
+
+and the loading and quantile conditions need no integral.  One finite
+quadrature prices C0 (``regime_map``), and a sweep over the loadings at
+fixed epsilon reuses it for every cell.
+
 When all four hold the optimum is a single layer detaching at the VaR level;
 when the tail condition fails with both loadings close to their upper
 threshold, strictly better multi-layer schedules exist.  This module
-evaluates the conditions with signed margins, runs the supporting
-attachment-balance analysis, checks the large-portfolio profit limit, and
-searches for tail-condition violations usable as multi-layer fixtures.
+evaluates the conditions with signed margins, maps them on the loading
+plane (``regime_map``), runs the supporting attachment-balance analysis,
+checks the large-portfolio profit limit, and searches for tail-condition
+violations usable as multi-layer fixtures.
 """
 
 from __future__ import annotations
@@ -25,10 +39,10 @@ from itertools import product
 
 import numpy as np
 
-from ._integrate import bisect_root, curve_cost
+from ._integrate import bisect_root, curve_cost, purchasable
 from .kernels import BaseCurve, PricingKernel, QuadraticCurve
 from .losses import Pareto, _loss_at, portfolio_normal_model
-from .valuation import VAR, MarketSpec
+from .valuation import CVAR, VAR, MarketSpec
 
 SINGLE_LAYER = "single-layer"
 POSSIBLY_MULTI_LAYER = "possibly-multi-layer"
@@ -55,23 +69,108 @@ class ConditionReport:
         return self.loading_ok and self.quantile_ok and self.solvency_ok and self.tail_ok
 
 
-def check_conditions(model, kernel: PricingKernel, market: MarketSpec, *, tol: float = 1e-10) -> ConditionReport:
-    """Evaluate all four hypotheses with signed margins and predict the shape."""
-    x_eps = model.var_level(market.epsilon)
-    tail_lhs = kernel.k0_prime_at_zero * float(model.tail_integral(x_eps))
-    tail_rhs = curve_cost(model, kernel.base, 0.0, x_eps, tol=tol)
-    solvency_value = market.gamma * model.mean - curve_cost(model, kernel, 0.0, x_eps, tol=tol)
-    loading_margin = kernel.gamma_r - market.gamma
-    quantile_margin = x_eps - model.mean
+@dataclass(frozen=True, slots=True)
+class RegimeMap:
+    """The conditions of a (model, base curve, epsilon) triple at every loading.
 
+    Three numbers fix them: C0 (``base_cost``), the integral of K0(F) over
+    [0, x_eps); TI(x_eps) (``tail_integral``); and E X (``mean``).  Ceding
+    [0, x_eps) under the kernel loaded at gamma_r costs
+    (1 + gamma_r) * C0 + gamma_r * (E X - TI(x_eps)) (``cost``).  On the
+    (gamma_r, gamma) plane:
+
+    * the loading condition holds on and below the line gamma = gamma_r
+      (``loading_line``), the paper's prerequisite that reinsurance is not
+      too cheap;
+    * solvency holds on and below the line
+      gamma = (1 + gamma_r) * C0 / E X + gamma_r * (E X - TI(x_eps)) / E X
+      (``solvency_line``), which meets the loading line at ``crossing``;
+    * the tail verdict K0'(0) * TI(x_eps) <= C0 (``tail_ok``) and the
+      quantile condition x_eps >= E X (``quantile_ok``) hold or fail at
+      every loading.
+    """
+
+    var_level: float
+    base_cost: float
+    tail_integral: float
+    mean: float
+    base_slope: float  # K0'(0)
+
+    def cost(self, gamma_r: float) -> float:
+        """Cost of ceding [0, x_eps) under the kernel loaded at gamma_r."""
+        return (1.0 + gamma_r) * self.base_cost + gamma_r * (self.mean - self.tail_integral)
+
+    @staticmethod
+    def loading_line(gamma_r: float) -> float:
+        """Largest primary loading gamma that keeps the loading condition at gamma_r."""
+        return gamma_r
+
+    def solvency_line(self, gamma_r: float) -> float:
+        """Largest primary loading gamma that keeps the solvency condition at gamma_r."""
+        return self.cost(gamma_r) / self.mean
+
+    @property
+    def crossing(self) -> float:
+        """The solvency boundary at gamma = gamma_r, where gamma * (TI - C0) = C0; inf if the lines never meet."""
+        c0, ti = self.base_cost, self.tail_integral
+        return c0 / (ti - c0) if ti > c0 else math.inf
+
+    @property
+    def tail_lhs(self) -> float:
+        return self.base_slope * self.tail_integral
+
+    @property
+    def tail_ok(self) -> bool:
+        return self.tail_lhs <= self.base_cost
+
+    @property
+    def quantile_ok(self) -> bool:
+        return self.var_level >= self.mean
+
+
+def regime_map(model, base: BaseCurve, epsilon: float, *, tol: float = 1e-10) -> RegimeMap:
+    """C0, TI(x_eps) and E X of one triple: its loading line, solvency line and tail verdict.
+
+    See ``RegimeMap`` for the identity that makes these three numbers fix
+    every condition at every loading.  One finite quadrature, to the
+    absolute tolerance ``tol``, prices C0.
+    """
+    x_eps = model.var_level(epsilon)
+    return RegimeMap(
+        var_level=x_eps,
+        base_cost=curve_cost(model, base, 0.0, x_eps, tol=tol),
+        tail_integral=float(model.tail_integral(x_eps)),
+        mean=model.mean,
+        base_slope=base.slope_at_zero,
+    )
+
+
+def _condition_integrals(model, base: BaseCurve, epsilon: float, tol: float, risk_measure: str = VAR):
+    """The triple's ``RegimeMap``, and under CVaR the integral of K0(F) over [0, inf).
+
+    The second is inf when full cession is not purchasable, and None under
+    VaR, whose conditions never read it.
+    """
+    full = None
+    if risk_measure == CVAR:
+        full = curve_cost(model, base, 0.0, math.inf) if purchasable(model, base) else math.inf
+    return regime_map(model, base, epsilon, tol=tol), full
+
+
+def _report(regime: RegimeMap, full: float | None, kernel: PricingKernel, market: MarketSpec) -> ConditionReport:
+    """The four conditions of one (gamma, gamma_r) cell, with signed margins, from its triple's integrals."""
+    gamma, gamma_r = market.gamma, kernel.gamma_r
+    solvency_value = gamma * regime.mean - regime.cost(gamma_r)
+    loading_margin = gamma_r - gamma
     loading_ok = loading_margin >= 0.0
-    quantile_ok = quantile_margin >= 0.0
     solvency_ok = solvency_value <= 0.0
-    tail_ok = tail_lhs <= tail_rhs
 
     if not solvency_ok:
-        shape = TRIVIAL_INFINITE_RATIO
-    elif loading_ok and quantile_ok and tail_ok:
+        # ceding [0, x_eps) at a profit leaves no VaR, but CVaR keeps the tail's
+        # risk: the ratio is unbounded only when ceding [0, inf) profits too
+        unbounded = market.risk_measure == VAR or gamma * regime.mean > (1.0 + gamma_r) * full + gamma_r * regime.mean
+        shape = TRIVIAL_INFINITE_RATIO if unbounded else POSSIBLY_MULTI_LAYER
+    elif loading_ok and regime.quantile_ok and regime.tail_ok:
         shape = SINGLE_LAYER
     else:
         shape = POSSIBLY_MULTI_LAYER
@@ -79,17 +178,29 @@ def check_conditions(model, kernel: PricingKernel, market: MarketSpec, *, tol: f
     return ConditionReport(
         loading_ok=loading_ok,
         loading_margin=loading_margin,
-        quantile_ok=quantile_ok,
-        quantile_margin=quantile_margin,
+        quantile_ok=regime.quantile_ok,
+        quantile_margin=regime.var_level - regime.mean,
         solvency_ok=solvency_ok,
         solvency_value=solvency_value,
-        tail_ok=tail_ok,
-        tail_lhs=tail_lhs,
-        tail_rhs=tail_rhs,
+        tail_ok=regime.tail_ok,
+        tail_lhs=regime.tail_lhs,
+        tail_rhs=regime.base_cost,
         gamma_upper=kernel.gamma_upper(),
         gamma_lower=kernel.gamma_lower(market.epsilon),
         predicted_shape=shape,
     )
+
+
+def check_conditions(model, kernel: PricingKernel, market: MarketSpec, *, tol: float = 1e-10) -> ConditionReport:
+    """Evaluate all four hypotheses with signed margins and predict the shape.
+
+    One finite quadrature prices them (``regime_map``).  Under VaR a failed
+    solvency condition means an infinite ratio.  Under CVaR ceding
+    [0, x_eps) still leaves the tail, so the ratio is infinite only when full
+    cession [0, inf) is purchasable and profitable; when only the [0, x_eps)
+    test fails the shape is ``possibly-multi-layer``.
+    """
+    return _report(*_condition_integrals(model, kernel.base, market.epsilon, tol, market.risk_measure), kernel, market)
 
 
 def attachment_balance(a: float, gamma: float, model, base: BaseCurve, market: MarketSpec, *, tol: float = 1e-10) -> float:
@@ -265,11 +376,8 @@ def find_tail_condition_violation(search: ViolationSearchSpec = ViolationSearchS
     for shape, c, eps in product(search.pareto_shapes, search.kernel_cs, search.epsilons):
         model = Pareto.with_mean(shape, 1.0)
         base = QuadraticCurve(c)
-        x_eps = model.var_level(eps)
-        tail_int = float(model.tail_integral(x_eps))
-        tail_lhs = c * tail_int
-        tail_rhs = curve_cost(model, base, 0.0, x_eps, tol=1e-13)
-        if tail_lhs <= tail_rhs:
+        regime = regime_map(model, base, eps, tol=1e-13)
+        if regime.tail_ok:
             continue
         g_hi = base.gamma_upper()
         if fallback is None:
@@ -281,7 +389,7 @@ def find_tail_condition_violation(search: ViolationSearchSpec = ViolationSearchS
             )
         if not math.isfinite(g_hi):
             continue
-        g_cap = tail_rhs / (tail_int - tail_rhs)  # solvency boundary for gamma_r = gamma
+        g_cap = regime.crossing
         if not (search.min_gamma_fraction * g_hi <= g_cap < g_hi):
             continue
 

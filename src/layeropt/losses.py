@@ -35,14 +35,14 @@ class DegenerateTailError(ValueError):
 
 def _validate_level(x, name: str = "x"):
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):  # NaN fails this test too
         raise ValueError(f"{name} must be nonnegative")
     return arr
 
 
 def _validate_prob(p):
     arr = np.asarray(p, dtype=float)
-    if np.any((arr <= 0.0) | (arr >= 1.0)):
+    if not np.all((arr > 0.0) & (arr < 1.0)):  # NaN fails this test too
         raise ValueError("probability must lie strictly inside (0, 1)")
     return arr
 

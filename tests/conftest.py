@@ -14,7 +14,9 @@ from layeropt import (
     QuadraticCurve,
     check_conditions,
 )
-from layeropt._integrate import _panel_costs
+from layeropt import _integrate
+from layeropt._integrate import _panel_costs, curve_cost
+from layeropt.conditions import POSSIBLY_MULTI_LAYER, SINGLE_LAYER, TRIVIAL_INFINITE_RATIO
 
 
 def cumulative_kernel_cost(model, kernel, grid):
@@ -27,6 +29,27 @@ def cumulative_kernel_cost(model, kernel, grid):
     """
     grid = np.asarray(grid, dtype=float)
     return np.concatenate([[0.0], np.cumsum(_panel_costs(model, kernel, grid[:-1], grid[1:]))])
+
+
+def two_quadrature_conditions(model, kernel, market, tol=1e-10):
+    """(tail_lhs, tail_rhs, solvency_value, VaR shape), pricing [0, x_eps) twice.
+
+    The tests' reference for ``check_conditions``: the cost of ceding
+    [0, x_eps) comes from a second quadrature under the loaded kernel, not
+    from the loading identity, and a failed solvency test always labels the
+    ratio infinite, as it does under VaR.
+    """
+    x_eps = model.var_level(market.epsilon)
+    tail_lhs = kernel.k0_prime_at_zero * float(model.tail_integral(x_eps))
+    tail_rhs = curve_cost(model, kernel.base, 0.0, x_eps, tol=tol)
+    solvency_value = market.gamma * model.mean - curve_cost(model, kernel, 0.0, x_eps, tol=tol)
+    if solvency_value > 0.0:
+        shape = TRIVIAL_INFINITE_RATIO
+    elif kernel.gamma_r >= market.gamma and x_eps >= model.mean and tail_lhs <= tail_rhs:
+        shape = SINGLE_LAYER
+    else:
+        shape = POSSIBLY_MULTI_LAYER
+    return tail_lhs, tail_rhs, solvency_value, shape
 
 
 def make_hypothesis_instances(count=50, seed=20240901):
@@ -61,3 +84,12 @@ def make_hypothesis_instances(count=50, seed=20240901):
 @pytest.fixture(scope="session")
 def hypothesis_instances():
     return make_hypothesis_instances()
+
+
+@pytest.fixture
+def finite_quadratures(monkeypatch):
+    """The arguments of every finite-layer quadrature ``curve_cost`` runs during the test."""
+    calls = []
+    finite = _integrate._finite_cost
+    monkeypatch.setattr(_integrate, "_finite_cost", lambda *args: calls.append(args) or finite(*args))
+    return calls

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from layeropt import cli
+from layeropt import Lognormal, QuadraticCurve, cli, regime_map
 from layeropt.cli import ConfigError, main, parse_config, run
 
 BASELINE_CONFIG = """
@@ -398,3 +398,62 @@ def test_evaluate_unpurchasable_unbounded_layer_exits_three(tmp_path, capsys):
     path.write_text(text)
     assert main(["--config", str(path)]) == 3
     assert "not purchasable" in capsys.readouterr().err
+
+
+# a lognormal VaR sweep whose grid crosses the loading and the solvency lines
+LOGNORMAL_VAR_SWEEP = """
+[model]
+family = lognormal
+mean = 1.0
+sigma = 1.5
+
+[kernel]
+family = quadratic
+c = 0.5
+gamma_r = 0.1
+
+[market]
+gamma = 0.1
+epsilon = 0.05
+risk_measure = var
+
+[run]
+command = sweep
+
+[sweep]
+gamma = 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45
+gamma_r = 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4
+epsilon = 0.05, 0.2
+optimize = false
+"""
+
+
+def test_sweep_prices_one_finite_quadrature_per_epsilon(tmp_path, finite_quadratures):
+    path = tmp_path / "cfg.ini"
+    path.write_text(LOGNORMAL_VAR_SWEEP)
+    out = tmp_path / "sweep.csv"
+    assert main(["--config", str(path), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 9 * 8 * 2
+    assert len(finite_quadratures) == 2
+
+
+def test_regime_map_lines_agree_with_every_var_sweep_cell(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text(LOGNORMAL_VAR_SWEEP)
+    out = tmp_path / "sweep.csv"
+    assert main(["--config", str(path), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    model = Lognormal.from_mean(1.0, 1.5)
+    regimes = {eps: regime_map(model, QuadraticCurve(0.5), eps) for eps in (0.05, 0.2)}
+    sides = set()
+    for row in rows:
+        gamma, gamma_r, regime = float(row["gamma"]), float(row["gamma_r"]), regimes[float(row["epsilon"])]
+        assert row["tail_ok"] == ("true" if regime.tail_ok else "false")
+        for name, line in (("loading_ok", regime.loading_line(gamma_r)), ("solvency_ok", regime.solvency_line(gamma_r))):
+            if abs(gamma - line) <= 1e-12 * line:
+                continue  # within rounding of a line either verdict is right
+            assert row[name] == ("true" if gamma <= line else "false"), (name, row)
+            sides.add((name, gamma <= line))
+    assert len(sides) == 4  # the grid has cells on both sides of both lines

@@ -1,5 +1,6 @@
 """Tests for the regime diagnostics."""
 
+import math
 from itertools import product
 
 import numpy as np
@@ -8,23 +9,32 @@ import pytest
 from layeropt import (
     CappedLinearDistortion,
     DistortionCurve,
+    EmpiricalTable,
     Exponential,
     Gamma,
     Lognormal,
     MarketSpec,
     Pareto,
     PowerDistortion,
+    PricingKernel,
     QuadraticCurve,
+    UnpurchasableCoverError,
     ViolationSearchSpec,
     asymptotic_profit_gaps,
     attachment_balance,
     balance_concavity_scan,
     check_conditions,
     critical_attachment,
+    dinkelbach_optimize,
     find_tail_condition_violation,
     gamma_lower_exact,
+    portfolio_normal_model,
     quadratic_kernel,
+    regime_map,
 )
+from layeropt._integrate import curve_cost
+
+from conftest import two_quadrature_conditions
 
 MODEL = Exponential(1.0)
 BASE = QuadraticCurve(0.5)
@@ -246,3 +256,136 @@ class TestViolationSearch:
             report = check_conditions(model, KERNEL, market)
             lhs.append(report.tail_lhs)
         assert lhs[0] < lhs[1] < lhs[2]
+
+
+# one model of each family, and one curve of each kernel family
+FAMILIES = [
+    Exponential(1.0),
+    Pareto.with_mean(2.5, 1.0),
+    Lognormal.from_mean(1.0, 1.0),
+    Gamma.from_mean(1.0, 0.6),
+    EmpiricalTable((0.0, 0.5, 2.0, 5.0), (0.1, 0.4, 0.8, 0.97)),
+    portfolio_normal_model(100, 1.0, 1.0),
+]
+CURVES = [QuadraticCurve(0.5), DistortionCurve(PowerDistortion(0.7)), DistortionCurve(CappedLinearDistortion(1.5))]
+
+
+class TestClosedFormConditions:
+    @pytest.mark.parametrize("measure", ["var", "cvar"])
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.2])
+    @pytest.mark.parametrize("base", CURVES, ids=lambda b: b.family)
+    @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.family)
+    def test_matches_two_quadrature_reference(self, model, base, eps, measure):
+        for gamma_r, gamma in product((0.05, 0.3), (0.1, 0.4)):
+            kernel, market = PricingKernel(base, gamma_r), MarketSpec(gamma, eps, measure)
+            report = check_conditions(model, kernel, market)
+            tail_lhs, tail_rhs, solvency, shape = two_quadrature_conditions(model, kernel, market)
+            cost = gamma * model.mean - solvency
+            assert abs(report.solvency_value - solvency) <= 1e-14 * (gamma * model.mean + cost)
+            assert report.tail_rhs == tail_rhs
+            assert report.tail_lhs == tail_lhs
+            if measure == "var":
+                assert report.predicted_shape == shape
+
+    @pytest.mark.parametrize("measure", ["var", "cvar"])
+    def test_one_finite_quadrature_per_check(self, finite_quadratures, measure):
+        for model in FAMILIES:
+            check_conditions(model, KERNEL, MarketSpec(0.1, 0.05, measure))
+        assert len(finite_quadratures) == len(FAMILIES)
+
+
+class TestCvarInfiniteRatio:
+    """Under CVaR ceding [0, x_eps) at a profit still leaves the tail's risk:
+    the ratio is unbounded only when full cession [0, inf) is profitable."""
+
+    def test_exponential_closed_form(self):
+        # ceding [0, x_eps) costs 1.1 * 0.225625 + 0.1 * 0.95 = 0.3431875 and
+        # [0, inf) costs 1.1 * 0.25 + 0.1 = 0.375 for Exponential(1), c = 0.5, gamma_r = 0.1
+        var, cvar = (check_conditions(MODEL, KERNEL, MarketSpec(0.36, 0.05, m)) for m in ("var", "cvar"))
+        assert not var.solvency_ok and not cvar.solvency_ok
+        assert cvar.solvency_value == var.solvency_value == pytest.approx(0.36 - 0.3431875, rel=1e-13)
+        assert var.predicted_shape == "trivial-infinite-ratio"
+        assert cvar.predicted_shape == "possibly-multi-layer"
+        result = dinkelbach_optimize(MODEL, KERNEL, MarketSpec(0.36, 0.05, "cvar"))
+        assert result.valuation.risk > 0.1 and math.isfinite(result.valuation.ratio)
+        for measure in ("var", "cvar"):
+            report = check_conditions(MODEL, KERNEL, MarketSpec(0.4, 0.05, measure))
+            assert report.predicted_shape == "trivial-infinite-ratio"
+
+    def test_gamma_case_with_profitable_full_cession(self):
+        model = Gamma(shape=1.8494420605262951, scale=0.540703610750277)
+        kernel = PricingKernel(QuadraticCurve(0.11302736608346897), 0.08046656177258671)
+        market = MarketSpec(gamma=0.2461356485438086, epsilon=0.23129999074563087, risk_measure="cvar")
+        profit = market.gamma * model.mean - curve_cost(model, kernel, 0.0, math.inf)
+        assert profit == pytest.approx(0.1183, abs=1e-4)
+        assert check_conditions(model, kernel, market).predicted_shape == "trivial-infinite-ratio"
+
+    def test_seeded_draw_matches_full_cession_test(self):
+        rng = np.random.default_rng(2026)
+        draws = {
+            "exponential": lambda: Exponential(rng.uniform(0.5, 2.0)),
+            "pareto": lambda: Pareto.with_mean(rng.uniform(1.3, 5.0), rng.uniform(0.5, 2.0)),
+            "lognormal": lambda: Lognormal.from_mean(rng.uniform(0.5, 2.0), rng.uniform(0.3, 2.0)),
+            "gamma": lambda: Gamma.from_mean(rng.uniform(0.5, 2.0), rng.uniform(0.3, 4.0)),
+            "empirical-table": lambda: EmpiricalTable(
+                tuple(np.cumsum(np.concatenate([[0.0], rng.uniform(0.1, 1.0, 4)]))),
+                tuple(np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.98, 4))])),
+            ),
+            "portfolio-normal": lambda: portfolio_normal_model(int(rng.integers(10, 1001)), 1.0, rng.uniform(0.5, 3.0)),
+        }
+        curves = [
+            lambda: QuadraticCurve(rng.uniform(0.1, 1.0)),
+            lambda: DistortionCurve(PowerDistortion(rng.uniform(0.3, 0.99))),
+            lambda: DistortionCurve(CappedLinearDistortion(rng.uniform(1.0, 4.0))),
+        ]
+        seen = {"trivial": 0, "cvar-only-finite": 0}
+        for family, draw in draws.items():
+            for i in range(30):
+                model, base = draw(), curves[i % 3]()
+                kernel = PricingKernel(base, rng.uniform(0.02, 0.6))
+                market = MarketSpec(rng.uniform(0.02, 0.6), rng.uniform(0.01, 0.3), "cvar")
+                report = check_conditions(model, kernel, market)
+                try:
+                    full = curve_cost(model, kernel, 0.0, math.inf)
+                except UnpurchasableCoverError:
+                    full = math.inf
+                profit = market.gamma * model.mean - full
+                if abs(profit) <= 1e-12 * market.gamma * model.mean:
+                    continue  # within rounding of the boundary either label is right
+                assert (report.predicted_shape == "trivial-infinite-ratio") == (profit > 0.0), family
+                seen["trivial"] += profit > 0.0
+                seen["cvar-only-finite"] += profit < 0.0 and not report.solvency_ok
+        assert min(seen.values()) >= 5, seen
+
+
+class TestRegimeMap:
+    def test_exponential_closed_form(self):
+        # C0 = c (1 - eps)**2 / 2 and TI = eps for Exponential(1)
+        regime = regime_map(MODEL, BASE, 0.05)
+        c0 = 0.5 * 0.95**2 / 2
+        assert (regime.base_cost, regime.tail_integral) == (pytest.approx(c0, rel=1e-14), pytest.approx(0.05, rel=1e-14))
+        for gamma_r in (0.0, 0.1, 0.3):
+            assert regime.solvency_line(gamma_r) == pytest.approx(c0 + gamma_r * (c0 + 0.95), rel=1e-14)
+        assert regime.crossing == math.inf
+        assert regime.tail_ok and regime.quantile_ok
+        assert regime.loading_line(0.3) == 0.3
+
+    @pytest.mark.parametrize("eps", [0.05, 0.2])
+    @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.family)
+    def test_agrees_with_check_conditions(self, model, eps):
+        for base in CURVES:
+            regime = regime_map(model, base, eps)
+            report = check_conditions(model, PricingKernel(base, 0.2), MarketSpec(0.1, eps))
+            assert regime.tail_ok == report.tail_ok
+            assert regime.quantile_ok == report.quantile_ok
+            line = regime.solvency_line(0.2)
+            # solvency_value is gamma * E X minus the cost on the line, per unit of E X
+            assert line * model.mean - 0.1 * model.mean == pytest.approx(-report.solvency_value, rel=1e-13, abs=1e-15)
+            if math.isfinite(regime.crossing):
+                assert regime.solvency_line(regime.crossing) == pytest.approx(regime.crossing, rel=1e-12)
+
+    def test_crossing_is_the_violation_search_boundary(self):
+        inst = find_tail_condition_violation()
+        regime = regime_map(inst.model, inst.kernel.base, inst.market.epsilon, tol=1e-13)
+        assert inst.window[1] == regime.crossing
+        assert not regime.tail_ok

@@ -270,11 +270,11 @@ class TestPortfolioNormal:
 # each primitive with a valid scalar argument, invalid ones, and the refusal message
 LEVEL_ERROR, PROB_ERROR = "x must be nonnegative", r"probability must lie strictly inside \(0, 1\)"
 PRIMITIVES = {
-    "cdf": (0.5, (-0.5, -1e-300), LEVEL_ERROR),
-    "sf": (0.5, (-0.5, -1e-300), LEVEL_ERROR),
-    "tail_integral": (0.5, (-0.5, -1e-300), "t must be nonnegative"),
-    "quantile": (0.5, (0.0, 1.0, -0.1, 1.5), PROB_ERROR),
-    "isf": (0.5, (0.0, 1.0, -0.1, 1.5), PROB_ERROR),
+    "cdf": (0.5, (-0.5, -1e-300, math.nan), LEVEL_ERROR),
+    "sf": (0.5, (-0.5, -1e-300, math.nan), LEVEL_ERROR),
+    "tail_integral": (0.5, (-0.5, -1e-300, math.nan), "t must be nonnegative"),
+    "quantile": (0.5, (0.0, 1.0, -0.1, 1.5, math.nan), PROB_ERROR),
+    "isf": (0.5, (0.0, 1.0, -0.1, 1.5, math.nan), PROB_ERROR),
 }
 
 
