@@ -10,6 +10,10 @@ from .losses import _check_positive
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _OCTAVES = 64  # survival octaves per vectorized block of the tail
+# survival octaves between a finite layer's seeded edges: a 24-node panel
+# integrates an exponential decay to rounding while S falls by up to about
+# 2**24, so a step of 2**16 leaves margin
+_REACH = 16
 _GRADED = 30  # most panels quartering toward the start of a layer
 _DEEPEST = 1e-300  # smallest survival level an octave edge may have
 _ROUNDS = 60  # most bisection rounds of a finite layer
@@ -54,9 +58,9 @@ def _graded(edges) -> np.ndarray:
     return np.unique(np.concatenate([edges, a + gap * np.exp2(-2.0 * np.arange(1.0, steps + 1.0))]))
 
 
-def _octave_edges(model, s_top: float, count: int) -> np.ndarray:
-    """x where S(x) = s_top / 2**k for k = 1..count, stopping before _DEEPEST or overflow."""
-    s = s_top * np.exp2(-np.arange(1.0, count + 1.0))
+def _octave_edges(model, s_top: float, count: int, step: int = 1) -> np.ndarray:
+    """x where S(x) = s_top / 2**(step * k) for k = 1..count, stopping before _DEEPEST or overflow."""
+    s = s_top * np.exp2(-step * np.arange(1.0, count + 1.0))
     x = np.asarray(model.isf(s[s >= _DEEPEST]))
     finite = np.isfinite(x)
     return x if finite.all() else x[: int(np.argmin(finite))]
@@ -119,11 +123,14 @@ def _finite_cost(model, curve, a: float, b: float, tol: float) -> float:
     """Integral of K(1 - S(x)) over a finite [a, b] by vectorized adaptive bisection.
 
     Panels start at a, b, the model's knots, the curve's knots mapped to x
-    (such as the capped-linear kink) and points quartering the first panel
-    toward a (``_graded``).  Each round prices every open panel and its two
-    halves in one call.  A panel is accepted, at the sum of its halves, when
-    that sum agrees with the whole to within the panel's share (by width) of
-    ``tol`` or of the rounding of the total; only the others are halved again.
+    (such as the capped-linear kink), the survival levels S(a) / 2**(16 k)
+    above max(S(b), 1e-300) mapped to x, so a layer spanning many decades
+    keeps its mass off the first panel, and points quartering the first
+    panel toward a (``_graded``).  Each round prices every open panel and
+    its two halves in one call.  A panel is accepted, at the sum of its
+    halves, when that sum agrees with the whole to within the panel's share
+    (by width) of ``tol`` or of the rounding of the total; only the others
+    are halved again.
     After ``_ROUNDS`` rounds, or once more than ``_OPEN`` panels would be
     open, every open panel is accepted as it stands, so no input can make
     the work grow without bound.
@@ -131,6 +138,10 @@ def _finite_cost(model, curve, a: float, b: float, tol: float) -> float:
     s_a, s_b = float(model.sf(a)), float(model.sf(b))
     knots = [t for t in model.cdf_knots if a < t < b]
     knots += [float(model.isf(s)) for s in curve.survival_knots if s_b < s < s_a]
+    s_floor = max(s_b, _DEEPEST)
+    count = int(math.log2(s_a / s_floor) // _REACH) if s_a > s_floor else 0
+    if count > 0:
+        knots += list(_octave_edges(model, s_a, count, _REACH))
     edges = _graded(np.unique(np.concatenate([[a, b], np.clip(knots, a, b)])))
     lo, hi = edges[:-1], edges[1:]
     share = None

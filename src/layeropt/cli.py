@@ -25,7 +25,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from .conditions import _condition_integrals, _portfolios, _report, asymptotic_profit_gaps, check_conditions
+from .conditions import _portfolios, asymptotic_profit_gaps, check_conditions, regime_map
 from .contracts import IndemnitySchedule, Layer, schedule_from_layers
 from .kernels import CappedLinearDistortion, PowerDistortion, PricingKernel, QuadraticCurve, from_distortion
 from .losses import EmpiricalTable, Exponential, Gamma, Lognormal, Pareto, _check_positive
@@ -245,17 +245,15 @@ _SWEEP = ("gamma", "gamma_r", "epsilon", *_CONDITIONS, "realized_layer_count", "
 _ASYMPTOTICS = ("n", "mean", "profit_ratio", "gap", "gap_times_sqrt_n")
 
 
-def _sweep_row(config: RunConfig, cell, integrals: dict, errors: list) -> list:
+def _sweep_row(config: RunConfig, cell, regimes: dict, errors: list) -> list:
     gamma, gamma_r, eps, market, kernel = cell
     row = dict.fromkeys(_SWEEP, "") | {"gamma": gamma, "gamma_r": gamma_r, "epsilon": eps}
     # one failing cell is reported in its row, not by aborting the sweep
     try:
-        # the condition integrals depend on epsilon alone: one quadrature serves its gamma x gamma_r cells
-        if eps not in integrals:
-            integrals[eps] = _condition_integrals(
-                config.model, config.kernel.base, eps, config.tol_quad, config.market.risk_measure
-            )
-        report = _report(*integrals[eps], kernel, market)
+        # the regime map depends on epsilon alone: one quadrature serves its gamma x gamma_r cells
+        if eps not in regimes:
+            regimes[eps] = regime_map(config.model, kernel.base, eps, market.risk_measure, tol=config.tol_quad)
+        report = regimes[eps].report(kernel, market)
         row.update(zip(_CONDITIONS, _values(_CONDITIONS, report)))
         if config.sweep_optimize:
             result = dinkelbach_optimize(config.model, kernel, market, tol=config.tol_root)
@@ -285,8 +283,8 @@ def run(config: RunConfig) -> int:
         columns, rows = _OPTIMUM, [_values(_OPTIMUM, result, result.valuation, layers=layers, mu_trace=mu_trace)]
         summary = f"optimum: {result.classification} [{layers}] ratio {result.valuation.ratio:.6f}"
     elif config.command == "sweep":
-        integrals = {}
-        rows = [_sweep_row(config, cell, integrals, errors) for cell in _cells(config)]
+        regimes = {}
+        rows = [_sweep_row(config, cell, regimes, errors) for cell in _cells(config)]
         columns, summary = _SWEEP, f"sweep: {len(rows)} cells"
     else:  # asymptotics
         table = asymptotic_profit_gaps(config.asym_n, config.asym_unit_mean, config.asym_unit_sd, kernel, market)

@@ -88,6 +88,12 @@ class RegimeMap:
     * the tail verdict K0'(0) * TI(x_eps) <= C0 (``tail_ok``) and the
       quantile condition x_eps >= E X (``quantile_ok``) hold or fail at
       every loading.
+
+    Under CVaR ceding [0, x_eps) leaves the tail, so the ratio is unbounded
+    only when full cession profits too.  It costs (1 + gamma_r) * ``full_cost``
+    + gamma_r * E X, with ``full_cost`` the integral of K0(F) over [0, inf):
+    inf when not purchasable, None for a map priced under VaR.  ``report``
+    reads one cell's conditions off the map.
     """
 
     var_level: float
@@ -95,6 +101,7 @@ class RegimeMap:
     tail_integral: float
     mean: float
     base_slope: float  # K0'(0)
+    full_cost: float | None = None
 
     def cost(self, gamma_r: float) -> float:
         """Cost of ceding [0, x_eps) under the kernel loaded at gamma_r."""
@@ -127,80 +134,66 @@ class RegimeMap:
     def quantile_ok(self) -> bool:
         return self.var_level >= self.mean
 
+    def report(self, kernel: PricingKernel, market: MarketSpec) -> ConditionReport:
+        """The four conditions of one (gamma, gamma_r) cell, with signed margins; CVaR needs a CVaR map."""
+        gamma, gamma_r = market.gamma, kernel.gamma_r
+        solvency_value = gamma * self.mean - self.cost(gamma_r)
+        loading_margin = gamma_r - gamma
+        loading_ok = loading_margin >= 0.0
+        solvency_ok = solvency_value <= 0.0
 
-def regime_map(model, base: BaseCurve, epsilon: float, *, tol: float = 1e-10) -> RegimeMap:
+        if market.risk_measure == CVAR and self.full_cost is None:
+            raise ValueError("a CVaR report needs a regime map priced under CVaR")
+        if not solvency_ok:
+            unbounded = market.risk_measure == VAR or (
+                gamma * self.mean > (1.0 + gamma_r) * self.full_cost + gamma_r * self.mean)
+            shape = TRIVIAL_INFINITE_RATIO if unbounded else POSSIBLY_MULTI_LAYER
+        elif loading_ok and self.quantile_ok and self.tail_ok:
+            shape = SINGLE_LAYER
+        else:
+            shape = POSSIBLY_MULTI_LAYER
+
+        return ConditionReport(
+            loading_ok=loading_ok,
+            loading_margin=loading_margin,
+            quantile_ok=self.quantile_ok,
+            quantile_margin=self.var_level - self.mean,
+            solvency_ok=solvency_ok,
+            solvency_value=solvency_value,
+            tail_ok=self.tail_ok,
+            tail_lhs=self.tail_lhs,
+            tail_rhs=self.base_cost,
+            gamma_upper=kernel.gamma_upper(),
+            gamma_lower=kernel.gamma_lower(market.epsilon),
+            predicted_shape=shape,
+        )
+
+
+def regime_map(model, base: BaseCurve, epsilon: float, risk_measure: str = VAR, *, tol: float = 1e-10) -> RegimeMap:
     """C0, TI(x_eps) and E X of one triple: its loading line, solvency line and tail verdict.
 
     See ``RegimeMap`` for the identity that makes these three numbers fix
     every condition at every loading.  One finite quadrature, to the
-    absolute tolerance ``tol``, prices C0.
+    absolute tolerance ``tol``, prices C0.  Under CVaR the unbounded-layer
+    quadrature also prices full cession's base cost (``full_cost``).
     """
     x_eps = model.var_level(epsilon)
+    full = None
+    if risk_measure == CVAR:
+        full = curve_cost(model, base, 0.0, math.inf) if purchasable(model, base) else math.inf
     return RegimeMap(
         var_level=x_eps,
         base_cost=curve_cost(model, base, 0.0, x_eps, tol=tol),
         tail_integral=float(model.tail_integral(x_eps)),
         mean=model.mean,
         base_slope=base.slope_at_zero,
-    )
-
-
-def _condition_integrals(model, base: BaseCurve, epsilon: float, tol: float, risk_measure: str = VAR):
-    """The triple's ``RegimeMap``, and under CVaR the integral of K0(F) over [0, inf).
-
-    The second is inf when full cession is not purchasable, and None under
-    VaR, whose conditions never read it.
-    """
-    full = None
-    if risk_measure == CVAR:
-        full = curve_cost(model, base, 0.0, math.inf) if purchasable(model, base) else math.inf
-    return regime_map(model, base, epsilon, tol=tol), full
-
-
-def _report(regime: RegimeMap, full: float | None, kernel: PricingKernel, market: MarketSpec) -> ConditionReport:
-    """The four conditions of one (gamma, gamma_r) cell, with signed margins, from its triple's integrals."""
-    gamma, gamma_r = market.gamma, kernel.gamma_r
-    solvency_value = gamma * regime.mean - regime.cost(gamma_r)
-    loading_margin = gamma_r - gamma
-    loading_ok = loading_margin >= 0.0
-    solvency_ok = solvency_value <= 0.0
-
-    if not solvency_ok:
-        # ceding [0, x_eps) at a profit leaves no VaR, but CVaR keeps the tail's
-        # risk: the ratio is unbounded only when ceding [0, inf) profits too
-        unbounded = market.risk_measure == VAR or gamma * regime.mean > (1.0 + gamma_r) * full + gamma_r * regime.mean
-        shape = TRIVIAL_INFINITE_RATIO if unbounded else POSSIBLY_MULTI_LAYER
-    elif loading_ok and regime.quantile_ok and regime.tail_ok:
-        shape = SINGLE_LAYER
-    else:
-        shape = POSSIBLY_MULTI_LAYER
-
-    return ConditionReport(
-        loading_ok=loading_ok,
-        loading_margin=loading_margin,
-        quantile_ok=regime.quantile_ok,
-        quantile_margin=regime.var_level - regime.mean,
-        solvency_ok=solvency_ok,
-        solvency_value=solvency_value,
-        tail_ok=regime.tail_ok,
-        tail_lhs=regime.tail_lhs,
-        tail_rhs=regime.base_cost,
-        gamma_upper=kernel.gamma_upper(),
-        gamma_lower=kernel.gamma_lower(market.epsilon),
-        predicted_shape=shape,
+        full_cost=full,
     )
 
 
 def check_conditions(model, kernel: PricingKernel, market: MarketSpec, *, tol: float = 1e-10) -> ConditionReport:
-    """Evaluate all four hypotheses with signed margins and predict the shape.
-
-    One finite quadrature prices them (``regime_map``).  Under VaR a failed
-    solvency condition means an infinite ratio.  Under CVaR ceding
-    [0, x_eps) still leaves the tail, so the ratio is infinite only when full
-    cession [0, inf) is purchasable and profitable; when only the [0, x_eps)
-    test fails the shape is ``possibly-multi-layer``.
-    """
-    return _report(*_condition_integrals(model, kernel.base, market.epsilon, tol, market.risk_measure), kernel, market)
+    """Evaluate all four hypotheses with signed margins and predict the shape (``RegimeMap.report``)."""
+    return regime_map(model, kernel.base, market.epsilon, market.risk_measure, tol=tol).report(kernel, market)
 
 
 def attachment_balance(a: float, gamma: float, model, base: BaseCurve, market: MarketSpec, *, tol: float = 1e-10) -> float:
@@ -327,8 +320,7 @@ def asymptotic_profit_gaps(n_values, unit_mean: float, unit_sd: float, kernel: P
     """
     rows = []
     for n, model in _portfolios(n_values, unit_mean, unit_sd):
-        x_eps = model.var_level(market.epsilon)
-        cost = curve_cost(model, kernel, 0.0, x_eps, tol=1e-11)
+        cost = regime_map(model, kernel.base, market.epsilon, tol=1e-11).cost(kernel.gamma_r)
         mean = model.mean
         ratio = (market.gamma * mean - cost) / mean
         gap = abs(ratio - (market.gamma - kernel.gamma_r))
@@ -376,7 +368,7 @@ def find_tail_condition_violation(search: ViolationSearchSpec = ViolationSearchS
     for shape, c, eps in product(search.pareto_shapes, search.kernel_cs, search.epsilons):
         model = Pareto.with_mean(shape, 1.0)
         base = QuadraticCurve(c)
-        regime = regime_map(model, base, eps, tol=1e-13)
+        regime = regime_map(model, base, eps, search.risk_measure, tol=1e-13)
         if regime.tail_ok:
             continue
         g_hi = base.gamma_upper()
@@ -384,9 +376,7 @@ def find_tail_condition_violation(search: ViolationSearchSpec = ViolationSearchS
             g_fb = 0.975 * g_hi if math.isfinite(g_hi) else 1.0
             kernel_fb = PricingKernel(base, g_fb)
             market_fb = MarketSpec(gamma=g_fb, epsilon=eps, risk_measure=search.risk_measure)
-            fallback = ViolationInstance(
-                model, kernel_fb, market_fb, check_conditions(model, kernel_fb, market_fb), None
-            )
+            fallback = ViolationInstance(model, kernel_fb, market_fb, regime.report(kernel_fb, market_fb), None)
         if not math.isfinite(g_hi):
             continue
         g_cap = regime.crossing
@@ -407,7 +397,7 @@ def find_tail_condition_violation(search: ViolationSearchSpec = ViolationSearchS
             continue
         kernel = PricingKernel(base, g_star)
         market = MarketSpec(gamma=g_star, epsilon=eps, risk_measure=search.risk_measure)
-        report = check_conditions(model, kernel, market, tol=1e-12)
+        report = regime.report(kernel, market)
         if report.tail_ok or not report.solvency_ok:
             continue
         return ViolationInstance(model, kernel, market, report, (g_c, g_cap))

@@ -159,8 +159,8 @@ def _dinkelbach(step, model, kernel, market: MarketSpec, mu0, tol: float, max_it
     floor = no_cession.ratio
     mu = floor if mu0 is None else float(mu0)
     trace = [mu]
-    schedule, value = zero_schedule(), None
     restarted = False
+    step_size = math.inf
     for _ in range(max_iter):
         schedule, value = step(mu, model, kernel, market0), None
         try:
@@ -180,10 +180,12 @@ def _dinkelbach(step, model, kernel, market: MarketSpec, mu0, tol: float, max_it
             continue
         new_mu = value.ratio
         trace.append(new_mu)
-        if abs(new_mu - mu) < tol:
-            mu = new_mu
+        step_size = abs(new_mu - mu)
+        if step_size < tol:
             break
         mu = new_mu
+    else:
+        raise ValueError(f"Dinkelbach iteration did not converge in {max_iter} iterations; last step {step_size:.3e}")
     # the last iterate's valuation is the result's unless beta shifts it
     return _finish(schedule, model, kernel, market, trace, value if market.beta == 0.0 else None)
 
@@ -204,7 +206,8 @@ def dinkelbach_optimize(
 
     The cost-of-capital coefficient shifts every ratio by the same constant,
     so the search runs with it removed and only the reported valuation
-    reflects it.  Raises ``ValueError`` unless ``tol`` is positive and finite.
+    reflects it.  Raises ``ValueError`` unless ``tol`` is positive and finite,
+    and when ``max_iter`` iterations pass without a step below ``tol``.
     """
     return _dinkelbach(lagrange_optimum, model, kernel, market, mu0, tol, max_iter)
 
@@ -233,7 +236,8 @@ def best_truncated_stop_loss(model, kernel, market: MarketSpec, *, tol: float = 
     so interior edges meet the first-order conditions, e.g. K(F(a)) = ratio.
     ``tol`` is the multiplier tolerance.  Raises ``NonpositiveRiskError`` in
     the infinite-ratio regime (solvency fails: a layer cedes all retained risk
-    at a profit) and ``ValueError`` unless ``tol`` is positive and finite.
+    at a profit) and ``ValueError`` unless ``tol`` is positive and finite, or
+    when 100 iterations pass without a step below it.
     """
     return _dinkelbach(_best_single_layer, model, kernel, market, None, tol, 100)
 

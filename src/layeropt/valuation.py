@@ -70,20 +70,29 @@ def risk_ledger(model, market: MarketSpec, a, b):
 
     Retained VaR and CVaR are linear in the indemnity schedule, so a schedule
     paying slope s_i on layers [a_i, b_i) retains ``floor - s @ relief``.  A
-    layer relieves its width below the VaR level and, under CVaR, its tail
-    integral above that level divided by epsilon.  ``a`` and ``b`` broadcast;
-    ``b`` may be infinite.  Returns ``(floor, relief)``.
+    layer relieves its width below the VaR level and, under CVaR (the expected
+    shortfall x_eps + E(X - x_eps)+ / epsilon), its tail integral above that
+    level divided by epsilon.  The floor is the relief of full cession
+    [0, inf), so ceding everything retains exactly 0.  ``a`` and ``b``
+    broadcast; ``b`` may be infinite.  Returns ``(floor, relief)``.
     """
     x_eps = model.var_level(market.epsilon)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    relief = np.minimum(b, x_eps) - np.minimum(a, x_eps)
-    if market.risk_measure == VAR:
-        return x_eps, relief
-    unbounded = np.isinf(b)
-    ti_a = model.tail_integral(np.maximum(a, x_eps))
-    ti_b = np.where(unbounded, 0.0, model.tail_integral(np.where(unbounded, x_eps, np.maximum(b, x_eps))))
-    return float(model.tail_expectation(x_eps)), relief + (ti_a - ti_b) / market.epsilon
+    cvar = market.risk_measure == CVAR
+    ti_eps = float(model.tail_integral(x_eps)) if cvar else 0.0
+
+    def beyond(t):
+        # TI(max(t, x_eps)), 0 at infinity; every t up to the VaR level reads the one
+        # value TI(x_eps), where vectorized and scalar evaluation may round apart
+        inner = (t > x_eps) & np.isfinite(t)
+        edge = np.where(np.isinf(t), 0.0, ti_eps)
+        return np.where(inner, model.tail_integral(np.where(inner, t, x_eps)), edge) if inner.any() else edge
+
+    def relief(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        width = np.minimum(b, x_eps) - np.minimum(a, x_eps)
+        return width + (beyond(a) - beyond(b)) / market.epsilon if cvar else width
+
+    return float(relief(0.0, math.inf)), relief(a, b)
 
 
 def retained_risk(model, schedule: IndemnitySchedule, market: MarketSpec) -> float:

@@ -14,6 +14,7 @@ from layeropt import (
     Gamma,
     Lognormal,
     MarketSpec,
+    NonpositiveRiskError,
     Pareto,
     PowerDistortion,
     PricingKernel,
@@ -294,6 +295,31 @@ class TestClosedFormConditions:
         assert len(finite_quadratures) == len(FAMILIES)
 
 
+def _cvar_draw(rng, per_family):
+    """(family, model, kernel, market) under CVaR: six families, three kernel families in turn."""
+    draws = {
+        "exponential": lambda: Exponential(rng.uniform(0.5, 2.0)),
+        "pareto": lambda: Pareto.with_mean(rng.uniform(1.3, 5.0), rng.uniform(0.5, 2.0)),
+        "lognormal": lambda: Lognormal.from_mean(rng.uniform(0.5, 2.0), rng.uniform(0.3, 2.0)),
+        "gamma": lambda: Gamma.from_mean(rng.uniform(0.5, 2.0), rng.uniform(0.3, 4.0)),
+        "empirical-table": lambda: EmpiricalTable(
+            tuple(np.cumsum(np.concatenate([[0.0], rng.uniform(0.1, 1.0, 4)]))),
+            tuple(np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.98, 4))])),
+        ),
+        "portfolio-normal": lambda: portfolio_normal_model(int(rng.integers(10, 1001)), 1.0, rng.uniform(0.5, 3.0)),
+    }
+    curves = [
+        lambda: QuadraticCurve(rng.uniform(0.1, 1.0)),
+        lambda: DistortionCurve(PowerDistortion(rng.uniform(0.3, 0.99))),
+        lambda: DistortionCurve(CappedLinearDistortion(rng.uniform(1.0, 4.0))),
+    ]
+    for family, draw in draws.items():
+        for i in range(per_family):
+            model, base = draw(), curves[i % 3]()
+            kernel = PricingKernel(base, rng.uniform(0.02, 0.6))
+            yield family, model, kernel, MarketSpec(rng.uniform(0.02, 0.6), rng.uniform(0.01, 0.3), "cvar")
+
+
 class TestCvarInfiniteRatio:
     """Under CVaR ceding [0, x_eps) at a profit still leaves the tail's risk:
     the ratio is unbounded only when full cession [0, inf) is profitable."""
@@ -321,41 +347,35 @@ class TestCvarInfiniteRatio:
         assert check_conditions(model, kernel, market).predicted_shape == "trivial-infinite-ratio"
 
     def test_seeded_draw_matches_full_cession_test(self):
-        rng = np.random.default_rng(2026)
-        draws = {
-            "exponential": lambda: Exponential(rng.uniform(0.5, 2.0)),
-            "pareto": lambda: Pareto.with_mean(rng.uniform(1.3, 5.0), rng.uniform(0.5, 2.0)),
-            "lognormal": lambda: Lognormal.from_mean(rng.uniform(0.5, 2.0), rng.uniform(0.3, 2.0)),
-            "gamma": lambda: Gamma.from_mean(rng.uniform(0.5, 2.0), rng.uniform(0.3, 4.0)),
-            "empirical-table": lambda: EmpiricalTable(
-                tuple(np.cumsum(np.concatenate([[0.0], rng.uniform(0.1, 1.0, 4)]))),
-                tuple(np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.98, 4))])),
-            ),
-            "portfolio-normal": lambda: portfolio_normal_model(int(rng.integers(10, 1001)), 1.0, rng.uniform(0.5, 3.0)),
-        }
-        curves = [
-            lambda: QuadraticCurve(rng.uniform(0.1, 1.0)),
-            lambda: DistortionCurve(PowerDistortion(rng.uniform(0.3, 0.99))),
-            lambda: DistortionCurve(CappedLinearDistortion(rng.uniform(1.0, 4.0))),
-        ]
         seen = {"trivial": 0, "cvar-only-finite": 0}
-        for family, draw in draws.items():
-            for i in range(30):
-                model, base = draw(), curves[i % 3]()
-                kernel = PricingKernel(base, rng.uniform(0.02, 0.6))
-                market = MarketSpec(rng.uniform(0.02, 0.6), rng.uniform(0.01, 0.3), "cvar")
-                report = check_conditions(model, kernel, market)
-                try:
-                    full = curve_cost(model, kernel, 0.0, math.inf)
-                except UnpurchasableCoverError:
-                    full = math.inf
-                profit = market.gamma * model.mean - full
-                if abs(profit) <= 1e-12 * market.gamma * model.mean:
-                    continue  # within rounding of the boundary either label is right
-                assert (report.predicted_shape == "trivial-infinite-ratio") == (profit > 0.0), family
-                seen["trivial"] += profit > 0.0
-                seen["cvar-only-finite"] += profit < 0.0 and not report.solvency_ok
+        for family, model, kernel, market in _cvar_draw(np.random.default_rng(2026), 30):
+            report = check_conditions(model, kernel, market)
+            try:
+                full = curve_cost(model, kernel, 0.0, math.inf)
+            except UnpurchasableCoverError:
+                full = math.inf
+            profit = market.gamma * model.mean - full
+            if abs(profit) <= 1e-12 * market.gamma * model.mean:
+                continue  # within rounding of the boundary either label is right
+            assert (report.predicted_shape == "trivial-infinite-ratio") == (profit > 0.0), family
+            seen["trivial"] += profit > 0.0
+            seen["cvar-only-finite"] += profit < 0.0 and not report.solvency_ok
         assert min(seen.values()) >= 5, seen
+
+    def test_seeded_draw_solver_raises_exactly_when_labelled(self):
+        # full cession retains exactly 0, so Dinkelbach's nonpositive-risk abort
+        # is the infinite-ratio regime; every other instance solves
+        seen = {True: 0, False: 0}
+        for family, model, kernel, market in _cvar_draw(np.random.default_rng(7), 50):
+            labelled = check_conditions(model, kernel, market).predicted_shape == "trivial-infinite-ratio"
+            try:
+                dinkelbach_optimize(model, kernel, market)
+                raised = False
+            except NonpositiveRiskError:
+                raised = True
+            assert raised == labelled, (family, model, kernel, market)
+            seen[labelled] += 1
+        assert seen[True] >= 20 and seen[False] >= 200, seen
 
 
 class TestRegimeMap:
@@ -383,6 +403,50 @@ class TestRegimeMap:
             assert line * model.mean - 0.1 * model.mean == pytest.approx(-report.solvency_value, rel=1e-13, abs=1e-15)
             if math.isfinite(regime.crossing):
                 assert regime.solvency_line(regime.crossing) == pytest.approx(regime.crossing, rel=1e-12)
+
+    @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.family)
+    def test_full_cost_only_under_cvar(self, model):
+        for base in CURVES:
+            assert regime_map(model, base, 0.05).full_cost is None
+            full = regime_map(model, base, 0.05, "cvar").full_cost
+            assert full == curve_cost(model, base, 0.0, math.inf)
+        # tail index 1.2 times survival exponent 0.5: full cession is not purchasable
+        power = DistortionCurve(PowerDistortion(0.5))
+        assert regime_map(Pareto.with_mean(1.2, 1.0), power, 0.05, "cvar").full_cost == math.inf
+
+    @pytest.mark.parametrize("measure", ["var", "cvar"])
+    def test_report_is_check_conditions(self, measure):
+        for model, base in product(FAMILIES, CURVES):
+            regime = regime_map(model, base, 0.05, measure)
+            for gamma_r, gamma in product((0.05, 0.3), (0.1, 0.4)):
+                kernel, market = PricingKernel(base, gamma_r), MarketSpec(gamma, 0.05, measure)
+                assert regime.report(kernel, market) == check_conditions(model, kernel, market)
+
+    def test_cvar_report_needs_a_cvar_map(self):
+        with pytest.raises(ValueError, match="CVaR"):
+            regime_map(MODEL, BASE, 0.05).report(KERNEL, MarketSpec(0.1, 0.05, "cvar"))
+
+    def test_asymptotics_read_the_regime_cost(self, finite_quadratures):
+        rows = asymptotic_profit_gaps((100, 1000), 1.0, 1.0, KERNEL, MARKET)
+        # one base-curve quadrature per portfolio, and the loading identity
+        # prices [0, x_eps) under the loaded kernel
+        assert [args[1] for args in finite_quadratures] == [BASE, BASE]
+        for row, n in zip(rows, (100, 1000)):
+            model = portfolio_normal_model(n, 1.0, 1.0)
+            cost = curve_cost(model, KERNEL, 0.0, model.var_level(0.05), tol=1e-11)
+            want = (MARKET.gamma * model.mean - cost) / model.mean
+            assert row.profit_ratio == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("measure", ["var", "cvar"])
+    def test_violation_search_reports_from_its_regime(self, monkeypatch, measure):
+        import layeropt.conditions as conditions
+
+        monkeypatch.setattr(conditions, "check_conditions", None)
+        for search in (ViolationSearchSpec(risk_measure=measure),
+                       ViolationSearchSpec(pareto_shapes=(1.2,), kernel_cs=(0.25,), risk_measure=measure)):
+            inst = find_tail_condition_violation(search)
+            regime = regime_map(inst.model, inst.kernel.base, inst.market.epsilon, measure, tol=1e-13)
+            assert inst.report == regime.report(inst.kernel, inst.market)
 
     def test_crossing_is_the_violation_search_boundary(self):
         inst = find_tail_condition_violation()

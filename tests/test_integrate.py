@@ -303,6 +303,39 @@ def test_finite_cost_splits_at_the_capped_linear_kink():
         assert abs(got - want) <= 1e-13 * abs(want), (a, b, got, float(want))
 
 
+WIDE = [
+    Exponential(1.0),
+    Gamma(0.5, 1.0),
+    Pareto(1.5, 1.0),
+    Pareto(3.0, 1.0),
+    Lognormal(0.0, 2.0),
+    portfolio_normal_model(100, 1.0, 1.0),
+    EmpiricalTable((0.0, 0.5, 2.0, 5.0), (0.1, 0.4, 0.8, 0.97)),
+]
+
+
+@pytest.mark.parametrize("b", [1e12, 1e30, 1e100])
+@pytest.mark.parametrize("kernel", [QUADRATIC, POWER], ids=["quadratic", "power"])
+@pytest.mark.parametrize("model", WIDE, ids=lambda m: f"{m.family}-{getattr(m, 'shape', '')}")
+def test_wide_finite_layer_matches_tail_difference(model, kernel, b):
+    # the mass of [0.1, b) lies decades below b: seeded survival edges keep it
+    # off the first panel, where halves and whole would agree on missing it
+    got = curve_cost(model, kernel, 0.1, b)
+    want = curve_cost(model, kernel, 0.1, math.inf) - curve_cost(model, kernel, b, math.inf)
+    assert abs(got - want) <= 1e-13 * want, (got, want)
+
+
+def test_survival_edges_only_past_sixteen_octaves(monkeypatch):
+    calls = []
+    edges = _integrate._octave_edges
+    monkeypatch.setattr(_integrate, "_octave_edges", lambda *args: calls.append(args) or edges(*args))
+    model = Exponential(1.0)
+    curve_cost(model, QUADRATIC, 0.0, 11.0)  # S falls by e**11, about 2**15.9
+    assert calls == []
+    curve_cost(model, QUADRATIC, 0.0, 12.0)  # about 2**17.3
+    assert calls == [(model, 1.0, 1, 16)]
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_rejects_tolerance_that_is_not_positive_and_finite(tol):
     model = Exponential(1.0)

@@ -431,6 +431,64 @@ class TestDinkelbach:
         with pytest.raises(ValueError, match="tolerance"):
             dinkelbach_optimize(MODEL, KERNEL, VAR_MARKET, tol=tol)
 
+    def test_running_out_of_iterations_raises(self):
+        # one iteration moves the multiplier by about 3e-5, far above tol
+        with pytest.raises(ValueError, match=r"did not converge in 1 iterations; last step [0-9.]+e-05"):
+            dinkelbach_optimize(MODEL, KERNEL, VAR_MARKET, max_iter=1)
+
+
+# CVaR cases where full cession [0, inf) is purchasable and profitable: each
+# solver used to return it, or a layer nearly as wide, at a ratio near 1e14
+CVAR_INFINITE_RATIO = {
+    "gamma": (
+        Gamma(shape=1.8494420605262951, scale=0.540703610750277),
+        quadratic_kernel(0.11302736608346897, 0.08046656177258671),
+        MarketSpec(gamma=0.2461356485438086, epsilon=0.23129999074563087, risk_measure="cvar"),
+    ),
+    "lognormal": (
+        Lognormal(-1.4233529852141555, 1.687218412188627),
+        from_distortion(PowerDistortion(0.9404836319957259), 0.114274445977603),
+        MarketSpec(gamma=0.36892973261258327, epsilon=0.1557379137940649, risk_measure="cvar"),
+    ),
+}
+
+# CVaR cases whose optimum is one layer tens of decades wide, which the
+# finite-layer quadrature used to underprice: the first crashed with a
+# negative multiplier, the second aborted as if it ceded all retained risk
+CVAR_WIDE_LAYER = {
+    "pareto-1.41": (
+        Pareto(shape=1.4066806278807842, scale=0.2891065817075077),
+        from_distortion(PowerDistortion(0.9815092290410041), 0.446291217277184),
+        MarketSpec(gamma=0.4502033343738921, epsilon=0.02198471165499883, risk_measure="cvar"),
+        0.257636,
+    ),
+    "pareto-2.00": (
+        Pareto(shape=1.9976654304662929, scale=0.4994156755435363),
+        from_distortion(PowerDistortion(0.9848931524741902), 0.511363550591426),
+        MarketSpec(gamma=0.3410356655327275, epsilon=0.013585686500828989, risk_measure="cvar"),
+        0.199257,
+    ),
+}
+
+
+@pytest.mark.parametrize("solve", [dinkelbach_optimize, best_truncated_stop_loss], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("case", CVAR_INFINITE_RATIO.values(), ids=CVAR_INFINITE_RATIO)
+def test_cvar_infinite_ratio_regime_aborts(case, solve):
+    model, kernel, market = case
+    assert check_conditions(model, kernel, market).predicted_shape == "trivial-infinite-ratio"
+    with pytest.raises(NonpositiveRiskError, match="infinite-ratio"):
+        solve(model, kernel, market)
+
+
+@pytest.mark.parametrize("solve", [dinkelbach_optimize, best_truncated_stop_loss], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("case", CVAR_WIDE_LAYER.values(), ids=CVAR_WIDE_LAYER)
+def test_cvar_wide_single_layer_optimum(case, solve):
+    model, kernel, market, ratio = case
+    result = solve(model, kernel, market)
+    assert result.classification == "single-layer"
+    assert result.schedule.layers()[0].detachment > 1e30
+    assert result.valuation.ratio == pytest.approx(ratio, abs=1e-6)
+
 
 class TestDiscreteOracle:
     def test_refuses_large_grids(self):

@@ -9,12 +9,16 @@ from layeropt import (
     CVAR,
     EmpiricalTable,
     Exponential,
+    Gamma,
     IndemnitySchedule,
+    Lognormal,
     MarketSpec,
     NonpositiveRiskError,
     Pareto,
     criterion,
     expected_profit,
+    full_cession,
+    portfolio_normal_model,
     quadratic_kernel,
     reinsurer_surplus,
     retained_risk,
@@ -133,6 +137,45 @@ class TestRiskLedger:
                 if hi > lo:
                     want = floor - retained_risk(model, truncated_stop_loss(lo, hi), market)
                     assert relief[i, j] == pytest.approx(want, abs=1e-12)
+
+
+# one model of each family; the table's VaR level sits on its atom at zero
+# for every epsilon above 0.03
+ATOM_TABLE = EmpiricalTable((0.0, 1.0, 2.0), (0.97, 0.99, 1.0))
+FAMILIES = [
+    Exponential(1.0),
+    Pareto.with_mean(2.5, 1.0),
+    Lognormal.from_mean(1.0, 1.5),
+    Gamma.from_mean(1.0, 0.6),
+    portfolio_normal_model(100, 1.0, 1.0),
+    EmpiricalTable((0.0, 0.5, 2.0, 5.0), (0.1, 0.4, 0.8, 0.97)),
+    ATOM_TABLE,
+]
+
+
+class TestFullCession:
+    @pytest.mark.parametrize("eps", [0.05, 0.2])
+    @pytest.mark.parametrize("measure", ["var", "cvar"])
+    @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.family)
+    def test_retains_exactly_nothing(self, model, measure, eps):
+        market = MarketSpec(0.1, eps, measure)
+        floor, relief = risk_ledger(model, market, 0.0, math.inf)
+        assert relief == floor
+        # the same within a batch, where the tail integral is vectorized
+        _, batch = risk_ledger(model, market, [0.5, 0.0, 0.0, 1.0], [2.0, math.inf, 1.0, math.inf])
+        assert batch[1] == floor
+        with pytest.raises(NonpositiveRiskError):
+            retained_risk(model, full_cession(), market)
+        if measure == "var":
+            assert floor == model.var_level(eps)
+
+    @pytest.mark.parametrize("eps, want", [(0.05, 0.5), (0.2, 0.125)])
+    def test_no_cession_cvar_is_the_expected_shortfall_on_an_atom(self, eps, want):
+        # x_eps = 0 and E(X - 0)+ = 0.025, so the expected shortfall is 0.025 / eps;
+        # E(X | X >= 0) = 0.025 / 0.03 would read 0.8333 at every epsilon
+        assert ATOM_TABLE.var_level(eps) == 0.0
+        risk = retained_risk(ATOM_TABLE, zero_schedule(), MarketSpec(0.1, eps, "cvar"))
+        assert abs(risk - want) <= 1e-15
 
 
 class TestCriterion:
