@@ -55,7 +55,8 @@ def _graded(edges) -> np.ndarray:
         return edges
     a, gap = edges[0], edges[1] - edges[0]
     steps = _GRADED if a <= 0.0 else min(_GRADED, max(0, math.ceil(0.5 * math.log2(gap / a))))
-    return np.unique(np.concatenate([edges, a + gap * np.exp2(-2.0 * np.arange(1.0, steps + 1.0))]))
+    # the points lie strictly inside the first gap, so ascending they go between its ends
+    return np.concatenate([edges[:1], a + gap * np.exp2(-2.0 * np.arange(steps, 0.0, -1.0)), edges[1:]])
 
 
 def _octave_edges(model, s_top: float, count: int, step: int = 1) -> np.ndarray:

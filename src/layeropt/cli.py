@@ -4,13 +4,13 @@ Commands: evaluate, optimize, check, sweep, asymptotics.  Each decision has
 one owner.  ``_SCHEMA`` lists the keys each section accepts ([model] and
 [kernel] by ``family``), and unknown sections or keys abort so sweep
 campaigns cannot silently drift.  ``_read`` is the one conversion: every
-missing or invalid value, sweep grids and portfolio sizes included, becomes
-a ``ConfigError``.  ``_validate_command`` checks what the command needs, once
-for the file and again after command-line overrides.  Every config fault
-exits with status 2, solver failures with status 3; a sweep still writes
-every row and marks the cells whose solve failed.  ``run`` is the one
-writer: each command names its columns once and its rows read them from
-its results, in deterministic order under a mandatory header row.
+missing or invalid value, sweep grids, portfolio sizes and command-line flags
+(``[run]`` values) included, becomes a ``ConfigError``.  ``_validate_command``
+checks what the command needs.  Every config fault exits with status 2,
+solver failures with status 3; a sweep still writes every row and marks
+the cells whose solve failed.  ``run`` is the one writer: each command
+names its columns once and its rows read them from its results, in
+deterministic order under a mandatory header row.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def _cells(config: RunConfig) -> list:
     ]
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, flags: dict | None = None) -> RunConfig:
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
@@ -190,8 +190,10 @@ def parse_config(text: str) -> RunConfig:
     for name in ("model", "kernel", "market", "run"):
         if name not in parser:
             raise ConfigError(f"missing mandatory section [{name}]")
-    # absent optional sections read as empty, so each reader owns its defaults
-    parser.read_dict({"sweep": {}, "asymptotics": {}})
+    # absent optional sections read as empty, so each reader owns its defaults; command-line
+    # flags set their [run] keys, "%" escaped, since configparser reads it as interpolation
+    escaped = {key: value.replace("%", "%%") for key, value in (flags or {}).items()}
+    parser.read_dict({"sweep": {}, "asymptotics": {}, "run": escaped})
     fields = {}
     for name in _SCHEMA:
         if name in parser:
@@ -310,24 +312,15 @@ def run(config: RunConfig) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="layeropt", description="Reinsurance layer pricing and optimization")
     parser.add_argument("--config", required=True, help="path to an INI configuration file")
-    parser.add_argument("--out", help="CSV output path (overrides the config)")
-    parser.add_argument("--command", choices=COMMANDS, help="command (overrides the config)")
-    parser.add_argument("--tol-quad", type=float, help="quadrature tolerance override")
-    parser.add_argument("--tol-root", type=float, help="root-finding tolerance override")
-    args = parser.parse_args(argv)
+    parser.add_argument("--out", help="CSV output path ([run] out)")
+    parser.add_argument("--command", help=f"one of {', '.join(COMMANDS)} ([run] command)")
+    parser.add_argument("--tol-quad", help="quadrature tolerance ([run] tol_quad)")
+    parser.add_argument("--tol-root", help="root-finding tolerance ([run] tol_root)")
+    args = vars(parser.parse_args(argv))
 
     try:
-        with open(args.config) as fh:
-            config = parse_config(fh.read())
-        if args.command:
-            config = replace(config, command=args.command)
-        if args.out:
-            config = replace(config, out_path=args.out)
-        if args.tol_quad is not None:
-            config = replace(config, tol_quad=_read("--tol-quad", _tolerance, args.tol_quad, "tolerance"))
-        if args.tol_root is not None:
-            config = replace(config, tol_root=_read("--tol-root", _tolerance, args.tol_root, "tolerance"))
-        _validate_command(config)
+        with open(args.pop("config")) as fh:
+            config = parse_config(fh.read(), {key: value for key, value in args.items() if value is not None})
         return run(config)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -181,7 +181,7 @@ def _dinkelbach(step, model, kernel, market: MarketSpec, mu0, tol: float, max_it
         new_mu = value.ratio
         trace.append(new_mu)
         step_size = abs(new_mu - mu)
-        if step_size < tol:
+        if step_size < tol * max(1.0, abs(mu)):
             break
         mu = new_mu
     else:
@@ -206,8 +206,10 @@ def dinkelbach_optimize(
 
     The cost-of-capital coefficient shifts every ratio by the same constant,
     so the search runs with it removed and only the reported valuation
-    reflects it.  Raises ``ValueError`` unless ``tol`` is positive and finite,
-    and when ``max_iter`` iterations pass without a step below ``tol``.
+    reflects it.  The iteration stops once the multiplier moves by less than
+    ``tol`` times max(1, |mu|), so a large ratio stops at its own rounding.
+    Raises ``ValueError`` unless ``tol`` is positive and finite, and when
+    ``max_iter`` iterations pass without such a step.
     """
     return _dinkelbach(lagrange_optimum, model, kernel, market, mu0, tol, max_iter)
 
@@ -234,10 +236,11 @@ def best_truncated_stop_loss(model, kernel, market: MarketSpec, *, tol: float = 
 
     Dinkelbach iteration restricted to single layers (``_best_single_layer``),
     so interior edges meet the first-order conditions, e.g. K(F(a)) = ratio.
-    ``tol`` is the multiplier tolerance.  Raises ``NonpositiveRiskError`` in
-    the infinite-ratio regime (solvency fails: a layer cedes all retained risk
-    at a profit) and ``ValueError`` unless ``tol`` is positive and finite, or
-    when 100 iterations pass without a step below it.
+    ``tol`` is the multiplier tolerance, relative to the multiplier once it
+    exceeds 1, as in ``dinkelbach_optimize``.  Raises ``NonpositiveRiskError``
+    in the infinite-ratio regime (solvency fails: a layer cedes all retained
+    risk at a profit) and ``ValueError`` unless ``tol`` is positive and
+    finite, or when 100 iterations pass without a step below it.
     """
     return _dinkelbach(_best_single_layer, model, kernel, market, None, tol, 100)
 

@@ -316,6 +316,44 @@ def test_tolerance_overrides_reach_the_run(tmp_path, monkeypatch):
     assert [(c.tol_quad, c.tol_root) for c in seen] == [(1e-8, 1e-7), (1e-12, 1e-11)]
 
 
+@pytest.mark.parametrize(
+    "edits",
+    [
+        # the file's own command, evaluate, cannot run: the file has no [contract]
+        [("command = check", "command = evaluate"), ("[contract]\nlayers = [[1.0, 2.995732273553991]]\n", "")],
+        # the file names no command
+        [("command = check\n", "")],
+    ],
+    ids=["evaluate-without-contract", "no-command"],
+)
+def test_command_flag_replaces_the_file_command_before_it_is_checked(tmp_path, edits):
+    text = BASELINE_INI.read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(path), "--command", "check", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "baseline_var_check.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [("--tol-quad", "abc"), ("--tol-root", "abc"), ("--command", "bogus")])
+def test_exit_two_on_bad_flag_with_one_line(tmp_path, capsys, flag, value):
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(BASELINE_INI), flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_out_flag_with_percent_sign_writes_that_file(tmp_path):
+    # configparser reads "%" as interpolation, so the flag's value is escaped
+    out = tmp_path / "a%b.csv"
+    assert main(["--config", str(BASELINE_INI), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "baseline_var_check.csv").read_bytes()
+
+
 @pytest.mark.parametrize("measure", ["var", "cvar"])
 @pytest.mark.parametrize("command", ["check", "evaluate", "optimize", "sweep", "asymptotics"])
 def test_baseline_csv_matches_golden_bytes(tmp_path, capsys, measure, command):

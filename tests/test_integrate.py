@@ -336,6 +336,18 @@ def test_survival_edges_only_past_sixteen_octaves(monkeypatch):
     assert calls == [(model, 1.0, 1, 16)]
 
 
+@pytest.mark.parametrize(
+    "edges, count",
+    [([0.0, 1.0, 2.5], 30), ([0.3, 5.0e6, 7.0e6], 12), ([1e-9, 1.0], 15), ([10.0, 10.5, 11.0], 0)],
+)
+def test_graded_points_go_between_the_first_two_edges_in_order(edges, count):
+    # the edges come sorted and distinct, and the points a + gap / 4**k lie
+    # inside the first gap, so no second sort is needed to merge them
+    edges = np.array(edges)
+    points = edges[0] + (edges[1] - edges[0]) * np.exp2(-2.0 * np.arange(1.0, count + 1.0))
+    assert np.array_equal(_integrate._graded(edges), np.unique(np.concatenate([edges, points])))
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_rejects_tolerance_that_is_not_positive_and_finite(tol):
     model = Exponential(1.0)

@@ -25,6 +25,7 @@ from layeropt import (
     NonpositiveRiskError,
     OptimResult,
     Pareto,
+    PortfolioNormal,
     PowerDistortion,
     Valuation,
     balance_concavity_scan,
@@ -488,6 +489,21 @@ def test_cvar_wide_single_layer_optimum(case, solve):
     assert result.classification == "single-layer"
     assert result.schedule.layers()[0].detachment > 1e30
     assert result.valuation.ratio == pytest.approx(ratio, abs=1e-6)
+
+
+@pytest.mark.parametrize("solve", [dinkelbach_optimize, best_truncated_stop_loss], ids=lambda f: f.__name__)
+def test_large_ratio_converges_at_its_own_scale(solve):
+    # the multiplier settles near 1156 to within its rounding, steps of about
+    # 7e-9 that an absolute tolerance of 1e-10 never reached within max_iter
+    model = PortfolioNormal(982.0, 84.76168746741412)
+    kernel = from_distortion(PowerDistortion(0.3001857377466873), 0.4257855551972402)
+    market = MarketSpec(gamma=0.5897126282375957, epsilon=0.2654562482662826, risk_measure="cvar")
+    result = solve(model, kernel, market)
+    (layer,) = result.schedule.layers()
+    assert layer.attachment == 0.0
+    assert layer.detachment == pytest.approx(1342.6160621727354, rel=1e-9)
+    assert result.valuation.ratio == pytest.approx(1155.7125560256065, rel=1e-12)
+    assert len(result.mu_trace) < 20
 
 
 class TestDiscreteOracle:
