@@ -16,10 +16,11 @@ finite price iff alpha * p > 1) and the survival levels where it is not
 smooth (``survival_knots``).
 
 Every curve gives in closed form the s where K0(1 - s) + t * s peaks
-(``tilted_peak``) and the edges of the interval where it is at least a level m
-(``level_edges``): the quadratic and capped-linear curves everywhere, the
-power curve at m = 0.  Elsewhere, as for curves that users subclass, the
-edges fall back to bisection on each side of the peak.  From these
+(``tilted_peak``), and without bisection the edges of the interval where it
+is at least a level m (``level_edges``): the quadratic and capped-linear
+curves in closed form, the power curve in closed form at m = 0 and by Newton
+from outside the interval at m > 0.  Curves that users subclass fall back to
+bisection on each side of the peak.  From these
 ``PricingKernel.crossings`` finds the one interval where the concave
 s -> K(1 - s) - slope * s is at least a level mu: layer edges, the CVaR
 detachment, the critical attachment and ``k_max`` all use it.
@@ -51,6 +52,28 @@ def _around(peak: float, lo: float, hi: float) -> tuple[float, float]:
     return min(max(lo, 0.0), peak), max(min(hi, 1.0), peak)
 
 
+def _power_root(r: float, t: float, m: float, s: float, peak: float) -> float:
+    """Root of the concave h(s) = s**r - (1 - t) * s - m between s, where h < 0, and peak.
+
+    Newton from outside the level set: concavity keeps every iterate on the
+    side of the root it starts from, so the iterates move toward the peak
+    until rounding stops them.  Each step is s times h / (s * h'(s)), a
+    ratio of order one, so neither s**(r - 1) nor s * h leaves the range of
+    floats near zero.
+    """
+    while True:
+        w = (r - 1.0) * math.log(s)  # log(s**r / s) >= 0
+        # s**r - s, through expm1 where it would cancel as s nears 1
+        excess = s * math.expm1(w) if w < 1.0 else s**r - s
+        slope = r * excess - (1.0 - t - r) * s
+        if slope == 0.0:
+            return s
+        step = s - s * ((excess + (t * s - m)) / slope)
+        if not min(s, peak) < step < max(s, peak):
+            return s
+        s = step
+
+
 class Distortion(ABC):
     """Concave distortion g on [0, 1] with g(0) = 0, g(1) = 1, g(s) >= s."""
 
@@ -67,7 +90,7 @@ class Distortion(ABC):
 
     def level_edges(self, t: float, m: float) -> tuple[float, float] | None:
         """Edges of {s in [0, 1] : g(s) - s + t * s >= m}, the induced curve's level set
-        (``BaseCurve.level_edges``), in closed form; None where there is none."""
+        (``BaseCurve.level_edges``), without bisection; None leaves the bisection default."""
         return None
 
     @property
@@ -105,11 +128,23 @@ class PowerDistortion(Distortion):
         return 1.0 if tau <= r else (r / tau) ** (1.0 / (1.0 - r))
 
     def level_edges(self, t: float, m: float) -> tuple[float, float] | None:
-        if m != 0.0:
-            return None
-        # s**r >= (1 - t) * s holds from 0 up to s**(r - 1) = 1 - t, beyond 1 when t >= 0
         r, tau = self.exponent, 1.0 - t
-        return 0.0, 1.0 if tau <= 1.0 else 0.0 if r >= 1.0 else tau ** (-1.0 / (1.0 - r))
+        if m == 0.0:
+            # s**r >= (1 - t) * s holds from 0 up to s**(r - 1) = 1 - t, beyond 1 when t >= 0
+            return 0.0, 1.0 if tau <= 1.0 else 0.0 if r >= 1.0 else tau ** (-1.0 / (1.0 - r))
+        if tau <= 0.0 or m < 0.0:
+            return None
+        peak = self.tilted_peak(tau)
+        if r >= 1.0:  # the linear t * s >= m
+            return (peak, peak) if t <= m else (m / t, 1.0)
+        if peak**r - tau * peak - m <= 0.0:  # a level within rounding of the peak value
+            return peak, peak
+        # h(s) = s**r - tau * s - m is below zero at m**(1 / r), where s**r = m, and at 1 unless
+        # h(1) = t - m >= 0; where m**(1 / r) underflows the root lies below the smallest subnormal
+        lo = m ** (1.0 / r)
+        lo = 0.0 if lo == 0.0 else _power_root(r, t, m, lo, peak)
+        hi = 1.0 if t >= m else _power_root(r, t, m, 1.0, peak)
+        return _around(peak, lo, hi)
 
     @property
     def survival_exponent(self) -> float:
@@ -181,7 +216,10 @@ class BaseCurve(ABC):
 
         This default bisects each side of the peak to 1e-15 relative to the
         peak, however deep: 1100 halvings of [0, 1] pass the smallest
-        subnormal.  Curves with a closed form override it.
+        subnormal.  An edge nearer 0 than that comes back within 1e-15 * peak
+        of 0, not at its root.  Every curve in this module overrides it, in
+        closed form or by Newton; the default serves curves that users
+        subclass.
         """
         peak = self.tilted_peak(t)
 

@@ -365,6 +365,27 @@ def test_baseline_csv_matches_golden_bytes(tmp_path, capsys, measure, command):
     assert out.read_bytes() == (GOLDEN / f"baseline_{measure}_{command}.csv").read_bytes()
 
 
+# tests/golden/power.ini: Gamma(0.8) under the power kernel r = 0.7, whose layer edges at a positive
+# level are solved by Newton; its sweep and optimize files, as is and with risk_measure = cvar,
+# hold multi-layer cells under both measures
+POWER_INI = GOLDEN / "power.ini"
+
+
+@pytest.mark.parametrize("measure", ["var", "cvar"])
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_power_kernel_csv_matches_golden_bytes(tmp_path, capsys, measure, command):
+    text = POWER_INI.read_text()
+    assert "risk_measure = var" in text
+    path = tmp_path / "power.ini"
+    path.write_text(text.replace("risk_measure = var", f"risk_measure = {measure}"))
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(path), "--command", command, "--out", str(out)]) == 0
+    golden = (GOLDEN / f"power_{measure}_{command}.csv").read_bytes()
+    assert out.read_bytes() == golden
+    # a solved multi-layer row: the optimize file's first field, the sweep file's realized classification
+    assert b"\nmulti-layer," in golden or b",multi-layer\n" in golden
+
+
 def test_sweep_marks_failed_cells_and_writes_every_row(tmp_path, capsys, monkeypatch):
     """Cells whose solve raises (here a failure injected into the solver on
     the cells with gamma_r >= 0.3) are marked, the other cells are still

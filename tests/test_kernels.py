@@ -3,8 +3,11 @@
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from layeropt import (
     CappedLinearDistortion,
@@ -302,19 +305,38 @@ def _tilted(curve, t, s):
 
 
 CAPPED = DistortionCurve(CappedLinearDistortion(3.0))
+
+
+def _tilts(*slopes, gamma_r=0.05):
+    """The tilts t = (gamma_r - slope) / (1 + gamma_r) that ``crossings`` passes; slope 0 gives the
+    largest, gamma_r / (1 + gamma_r)."""
+    return [(gamma_r - slope) / (1.0 + gamma_r) for slope in slopes]
+
+
 # (curve, tilts): the capped-linear tilts include t = 1, where its peak jumps, its neighbours, and
-# t just above 1 - slope, where the curve rises from flat zero
+# t just above 1 - slope, where the curve rises from flat zero; the power curves, solved by Newton
+# at m > 0, run from steep slopes to no slope, with milder ones for exponent 0.999, whose peak
+# (r / (1 - t))**(1 / (1 - r)) underflows already at slope 1
 CLOSED_FORM_CURVES = [
     (QuadraticCurve(0.5), [-0.4, -0.01, 0.0, 0.05, 0.3, 0.9, 2.0]),
     (QuadraticCurve(0.05), [-0.04, 0.0, 0.01, 0.2]),
     (QuadraticCurve(1.0), [-0.5, 0.0, 0.999, 1.0]),
     (CAPPED, [-2.0 + 1e-6, -1.9, -0.5, 0.0, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5]),
     (DistortionCurve(CappedLinearDistortion(1.0)), [1e-6, 0.3, 1.0]),
+    (DistortionCurve(PowerDistortion(0.3)), _tilts(3.0, 1.0, 0.5, 0.05, 0.0)),
+    (DistortionCurve(PowerDistortion(0.6)), _tilts(3.0, 1.0, 0.5, 0.05, 0.0)),
+    (DistortionCurve(PowerDistortion(0.95)), _tilts(3.0, 0.5, 0.05, 0.0)),
+    (DistortionCurve(PowerDistortion(0.999)), _tilts(0.6, 0.2, 0.05, 0.0)),
+    (DistortionCurve(PowerDistortion(1.0)), _tilts(0.02, 0.0)),  # the line t * s, above 0 for t > 0 only
 ]
 LEVELS = {"zero": 0.0, "near-zero": 1e-6, "middle": 0.5, "near-top": 1.0 - 1e-12}
 # where the curve rises by 1e-6, its evaluation (min(3 s, 1) - s + t s, terms of order 1) is noise at 1e-10
 # of the edge's location, which the bisection follows and the closed form does not
 NOISY_EVALUATION = {(CAPPED, -2.0 + 1e-6)}
+# with exponent r = 0.999 the terms s**r and (1 - t) * s nearly cancel at an edge, where s times the
+# slope of their difference is about (1 - r) times either term: rounding the terms moves the edge
+# about 1 / (1 - r) times farther than elsewhere, whichever method solves for it
+ILL_CONDITIONED = {DistortionCurve(PowerDistortion(0.999)): 1e3}
 
 
 def _edge_cases():
@@ -353,7 +375,7 @@ def test_level_edges_closed_forms(curve, t, level):
         # the bisection default agrees to its own resolution; near the top the root is ill conditioned
         # (the edges move by sqrt(top - m)), so there only the residuals above are asserted
         for edge, bisected in zip((lo, hi), BaseCurve.level_edges(curve, t, m)):
-            assert edge == pytest.approx(bisected, rel=1e-13, abs=1e-15 * peak)
+            assert edge == pytest.approx(bisected, rel=1e-13 * ILL_CONDITIONED.get(curve, 1.0), abs=1e-15 * peak)
 
 
 @pytest.mark.parametrize(
@@ -377,15 +399,81 @@ def test_closed_forms_bisect_nothing(monkeypatch):
     import layeropt.kernels as kernels
 
     def refuse(*args, **kwargs):
-        raise AssertionError("bisected an edge that has a closed form")
+        raise AssertionError("bisected an edge that the curve solves itself")
 
     monkeypatch.setattr(kernels, "bisect_root", refuse)
-    for kernel in (BASELINE, quadratic_kernel(1.0, 0.0), from_distortion(CappedLinearDistortion(3.0), 0.1)):
-        kernel.crossings(0.5 * kernel.k_max()[1])
     power = from_distortion(PowerDistortion(0.6), 0.2)
-    power.crossings(0.0, 0.5)  # the power curve has a closed form at level 0 only
-    with pytest.raises(AssertionError, match="bisected"):
-        power.crossings(0.01)
+    for kernel in (BASELINE, quadratic_kernel(1.0, 0.0), from_distortion(CappedLinearDistortion(3.0), 0.1), power):
+        kernel.crossings(0.5 * kernel.k_max()[1])
+    power.crossings(0.0, 0.5)
+    power.crossings(0.01, 0.5)
+
+
+@pytest.mark.parametrize("m", [1e-45, 1e-300], ids=["deep-lo", "underflow"])
+def test_power_level_edges_below_the_bisection_resolution(m):
+    # the lo edge of s**r - tau * s >= m lies at about m**(1 / r): 1e-150 for m = 1e-45 and r = 0.3,
+    # and below the smallest subnormal for m = 1e-300, where it is 0.0; bisecting to 1e-15 of the
+    # peak (0.108 here) stops near 5e-17 in both cases
+    curve, t = DistortionCurve(PowerDistortion(0.3)), _tilts(0.5)[0]
+    tau = 1.0 - t
+    lo, hi = curve.level_edges(t, m)
+    bisected = BaseCurve.level_edges(curve, t, m)
+    assert bisected[0] > 1e-17 and hi == pytest.approx(bisected[1], rel=1e-13)
+    if m ** (1.0 / 0.3) == 0.0:
+        assert lo == 0.0
+    else:
+        assert lo == pytest.approx(1e-150, rel=1e-13)
+        assert lo**0.3 - tau * lo == pytest.approx(m, rel=1e-15, abs=0.0)
+    _assert_level_set(curve, t, m, lo, hi, float(_tilted(curve, t, curve.tilted_peak(t))))
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("gamma_r", [0.05, 0.1])
+@pytest.mark.parametrize("excess", [1e-12, 1e-9, 1e-6, 1e-3])
+def test_power_hi_edge_near_one_within_a_unit_in_the_last_place(r, gamma_r, excess):
+    # a level just above t = gamma_r / (1 + gamma_r) puts the hi edge just below s = 1, the smallest
+    # attachments, where a unit in the last place of s moves the loss most; s**r - s cancels there,
+    # and summing the terms directly, as the bisection default does, costs several units
+    curve, t = DistortionCurve(PowerDistortion(r)), _tilts(0.0, gamma_r=gamma_r)[0]
+    m = t * (1.0 + excess)
+    with mp.workdps(40):
+        below, above = mp.mpf(curve.tilted_peak(t)), mp.mpf(1)
+        for _ in range(120):
+            mid = (below + above) / 2
+            inside = mid ** mp.mpf(r) - (1 - mp.mpf(t)) * mid - mp.mpf(m) > 0
+            below, above = (mid, above) if inside else (below, mid)
+        root = float(below)
+    assert abs(curve.level_edges(t, m)[1] - root) <= math.ulp(root)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.floats(0.05, 0.999),
+    st.floats(-3.0, 0.3),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_power_level_edges_hit_the_level_and_match_the_bisection_default(r, t, fraction):
+    curve = DistortionCurve(PowerDistortion(r))
+    peak = curve.tilted_peak(t)
+    top = float(_tilted(curve, t, peak))
+    m = fraction * top
+    assume(0.0 < m < top)
+    lo, hi = curve.level_edges(t, m)
+    assert 0.0 <= lo <= peak <= hi <= 1.0
+    scale = 1e-13 * max(1.0, top)
+    assert abs(float(_tilted(curve, t, lo)) - m) <= scale
+    assert abs(float(_tilted(curve, t, hi)) - m) <= scale if hi < 1.0 else float(_tilted(curve, t, 1.0)) >= m - scale
+    if m >= 0.99 * top or top < 1e-290:
+        return  # ill conditioned near the top; subnormal terms below 1e-290
+    tau = 1.0 - t
+    for edge, bisected in zip((lo, hi), BaseCurve.level_edges(curve, t, m)):
+        if bisected == 1.0:
+            assert edge == 1.0
+            continue
+        # to the condition number of the root: the relative move of the edge per relative rounding
+        # of the terms of h(s) = s**r - tau * s - m, which grows as r nears 1 (ILL_CONDITIONED)
+        kappa = (bisected**r + tau * bisected + m) / abs(r * bisected**r - tau * bisected)
+        assert abs(edge - bisected) <= 1e-14 * kappa * bisected + 1e-15 * peak
 
 
 @dataclass(frozen=True)

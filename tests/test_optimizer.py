@@ -714,3 +714,63 @@ def test_solvers_price_the_kernel_in_survival_space_only(monkeypatch, model, mea
         check_conditions(model, kernel, market)
         marginal_gain(np.linspace(0.0, 10.0, 21), 0.05, model, kernel, market)
         balance_concavity_scan(model, kernel.base, market, n_points=5)
+
+
+def _power_kernel_cells(draws=40, seed=20261020):
+    """Seeded exponential, lognormal and gamma cells under power kernels, each
+    under VaR and CVaR; markets with a large gamma and a small epsilon reach
+    the multi-layer and the nonpositive-risk regimes."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for i in range(draws):
+        family = ("exponential", "lognormal", "gamma")[i % 3]
+        if family == "exponential":
+            model = Exponential(1.0)
+        elif family == "lognormal":
+            model = Lognormal.from_mean(1.0, rng.uniform(0.4, 1.5))
+        else:
+            model = Gamma.from_mean(1.0, rng.uniform(0.5, 3.0))
+        kernel = from_distortion(PowerDistortion(rng.uniform(0.3, 0.99)), rng.uniform(0.02, 0.2))
+        gamma, eps = rng.uniform(0.1, 0.5), rng.uniform(0.01, 0.1)
+        cells += [(model, kernel, MarketSpec(gamma, eps, measure)) for measure in (VAR, CVAR)]
+    return cells
+
+
+def _solve_or_nonpositive(solve, cell):
+    try:
+        return solve(*cell)
+    except NonpositiveRiskError:
+        return NonpositiveRiskError
+
+
+def _same_edge(model, edge, bisected):
+    # an edge is found in survival space: near s = 1 a unit in the last place of s moves a small
+    # loss by more than 1e-12 relative, so agreement of the survival levels is accepted there
+    return edge == pytest.approx(bisected, rel=1e-12) or abs(float(model.sf(edge)) - float(model.sf(bisected))) <= 1e-14
+
+
+@pytest.mark.parametrize("solve", [dinkelbach_optimize, best_truncated_stop_loss], ids=lambda f: f.__name__)
+def test_power_edges_by_newton_solve_as_the_bisection_default(monkeypatch, solve):
+    """The power curve's level edges, solved by Newton, give the solvers what
+    the bisection default gives them: the same classifications, layer counts
+    and nonpositive-risk aborts, and the same layers."""
+    from layeropt.kernels import BaseCurve, DistortionCurve
+
+    cells = _power_kernel_cells()
+    newton = [_solve_or_nonpositive(solve, cell) for cell in cells]
+    monkeypatch.setattr(DistortionCurve, "level_edges", BaseCurve.level_edges)
+    bisected = [_solve_or_nonpositive(solve, cell) for cell in cells]
+    outcomes = []
+    for (model, _, _), got, want in zip(cells, newton, bisected):
+        if want is NonpositiveRiskError or got is NonpositiveRiskError:
+            assert got is want
+            outcomes.append("nonpositive")
+            continue
+        assert (got.classification, got.layer_count) == (want.classification, want.layer_count)
+        for layer, reference in zip(got.schedule.layers(), want.schedule.layers()):
+            assert _same_edge(model, layer.attachment, reference.attachment)
+            assert _same_edge(model, layer.detachment, reference.detachment)
+        outcomes.append(got.classification)
+    # the draw reaches every regime the edges decide; the stop loss holds one layer at most
+    regimes = {"nonpositive", "no-cession", "single-layer"}
+    assert regimes | ({"multi-layer"} if solve is dinkelbach_optimize else set()) <= set(outcomes)
