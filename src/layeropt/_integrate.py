@@ -45,6 +45,19 @@ def _panel_costs(model, curve, lo, hi) -> np.ndarray:
     return 0.5 * widths * (vals @ _GL_WEIGHTS)
 
 
+def _ascending(values) -> np.ndarray:
+    """Sorted distinct values of a 1-D float array without NaN.
+
+    What ``np.unique`` does for such an array, bit for bit, without its
+    first call importing ``numpy.ma`` on numpy 2.
+    """
+    values = np.sort(values)
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def _graded(edges) -> np.ndarray:
     """Sorted edges plus points quartering the first gap toward a = edges[0], down to a distance of about a.
 
@@ -99,7 +112,7 @@ def _tail_cost(model, curve, a: float) -> float:
     # the first block reaches past every knot, so its last pieces are whole octaves
     count = _OCTAVES + (math.ceil(math.log2(s_a / s_knot)) if s_knot > 0.0 else 0)
     octaves = _octave_edges(model, s_a, count)
-    edges = _graded(np.unique(np.concatenate([[a], knots, octaves])))
+    edges = _graded(_ascending(np.concatenate([[a], knots, octaves])))
     if len(edges) < 2:
         return 0.0
     pieces = _panel_costs(model, curve, edges[:-1], edges[1:])
@@ -143,7 +156,7 @@ def _finite_cost(model, curve, a: float, b: float, tol: float) -> float:
     count = int(math.log2(s_a / s_floor) // _REACH) if s_a > s_floor else 0
     if count > 0:
         knots += list(_octave_edges(model, s_a, count, _REACH))
-    edges = _graded(np.unique(np.concatenate([[a, b], np.clip(knots, a, b)])))
+    edges = _graded(_ascending(np.concatenate([[a, b], np.clip(knots, a, b)])))
     lo, hi = edges[:-1], edges[1:]
     share = None
     accepted = []

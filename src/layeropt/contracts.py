@@ -123,4 +123,5 @@ def schedule_from_layers(layers) -> IndemnitySchedule:
     # attachment; the constructor merges adjacent layers
     attachments = {l.attachment for l in items}
     edges = sorted({0.0, *attachments, *(l.detachment for l in items if math.isfinite(l.detachment))})
-    return IndemnitySchedule(tuple(edges), tuple(float(e in attachments) for e in edges))
+    # two shared float objects, not one per segment
+    return IndemnitySchedule(tuple(edges), tuple(1.0 if e in attachments else 0.0 for e in edges))

@@ -38,6 +38,7 @@ from ._integrate import bisect_root
 from .losses import _ret
 
 _CONCAVITY_GRID = np.linspace(0.0, 1.0, 201)
+_TINY = math.ulp(0.0)  # the smallest subnormal
 
 
 def _validate_unit(u):
@@ -72,6 +73,24 @@ def _power_root(r: float, t: float, m: float, s: float, peak: float) -> float:
         if not min(s, peak) < step < max(s, peak):
             return s
         s = step
+
+
+def _lower_edge(excess, peak: float) -> float:
+    """The root in [0, peak] of ``excess``, increasing there and positive at
+    ``peak``, to relative precision; 0.0 where it lies below the smallest
+    subnormal."""
+    if excess(_TINY) >= 0.0:
+        return 0.0
+    # excess(peak * 2**-j) changes sign between j_in and j_out; 2**-1100 underflows
+    j_in, j_out = 0, 1100
+    while j_out - j_in > 1:
+        j = (j_in + j_out) // 2
+        if excess(math.ldexp(peak, -j)) >= 0.0:
+            j_in = j
+        else:
+            j_out = j
+    lo = max(math.ldexp(peak, -j_out), _TINY)
+    return bisect_root(excess, lo, math.ldexp(peak, -j_in), xtol=1e-16 * lo)
 
 
 class Distortion(ABC):
@@ -214,12 +233,14 @@ class BaseCurve(ABC):
         """Edges (lo, hi) of {s in [0, 1] : K0(1 - s) + t * s >= m}, an interval
         around ``tilted_peak(t)``; callers ensure m is below the value there.
 
-        This default bisects each side of the peak to 1e-15 relative to the
-        peak, however deep: 1100 halvings of [0, 1] pass the smallest
-        subnormal.  An edge nearer 0 than that comes back within 1e-15 * peak
-        of 0, not at its root.  Every curve in this module overrides it, in
-        closed form or by Newton; the default serves curves that users
-        subclass.
+        This default bisects each side of the peak.  The upper edge lies in
+        [peak, 1] and is bisected to 1e-15 * peak.  The lower edge may lie
+        many decades below the peak, so it is bisected to relative precision:
+        first its binary exponent, down to the smallest subnormal, which
+        brackets it within a factor of two, then the edge inside that
+        bracket.  It is 0.0 where it lies below the smallest subnormal.
+        Every curve in this module overrides it, in closed form or by
+        Newton; the default serves curves that users subclass.
         """
         peak = self.tilted_peak(t)
 
@@ -228,9 +249,8 @@ class BaseCurve(ABC):
 
         if excess(peak) <= 0.0:  # a level within rounding of the peak value
             return peak, peak
-        tol = dict(xtol=1e-15 * peak, max_iter=1100)
-        lo = bisect_root(excess, 0.0, peak, **tol)
-        hi = 1.0 if excess(1.0) >= 0.0 else bisect_root(excess, peak, 1.0, **tol)
+        lo = _lower_edge(excess, peak)
+        hi = 1.0 if excess(1.0) >= 0.0 else bisect_root(excess, peak, 1.0, xtol=1e-15 * peak, max_iter=1100)
         return lo, hi
 
     @property

@@ -33,7 +33,7 @@ from .contracts import (
     zero_schedule,
 )
 from .losses import _check_positive, _loss_at
-from .valuation import CVAR, MarketSpec, NonpositiveRiskError, Valuation, criterion, expected_profit, risk_ledger
+from .valuation import CVAR, MarketSpec, NonpositiveRiskError, RiskLedger, Valuation, expected_profit, risk_ledger
 
 _WIDTH_TOL = 1e-12
 
@@ -60,10 +60,7 @@ def _classify(layer_count: int) -> str:
     return "single-layer" if layer_count == 1 else "multi-layer"
 
 
-def _finish(schedule: IndemnitySchedule, model, kernel, market, mu_trace=(), valuation=None) -> OptimResult:
-    """Result for ``schedule``, priced under ``market`` unless its ``valuation`` is given."""
-    if valuation is None:
-        valuation = criterion(model, kernel, schedule, market)
+def _finish(schedule: IndemnitySchedule, valuation: Valuation, mu_trace=()) -> OptimResult:
     lays = schedule.layers()
     return OptimResult(schedule, valuation, tuple(mu_trace), len(lays), _classify(len(lays)))
 
@@ -89,10 +86,14 @@ def lagrange_optimum(mu: float, model, kernel, market: MarketSpec) -> IndemnityS
     back to losses through ``model.isf``.  Under CVaR the layer through the
     VaR level detaches where the tail credit (mu / eps) * s stops paying.
     """
+    return _cede_where_gain(mu, kernel, risk_ledger(model, market))
+
+
+def _cede_where_gain(mu: float, kernel, ledger: RiskLedger) -> IndemnitySchedule:
+    """``lagrange_optimum`` on the VaR level of ``ledger``."""
     if mu < 0.0:
         raise ValueError("mu must be nonnegative")
-    eps = market.epsilon
-    x_eps = model.var_level(eps)
+    model, eps, x_eps = ledger.model, ledger.epsilon, ledger.x_eps
     lo, hi, _, top = kernel.crossings(mu)
 
     if top <= 0.0:
@@ -106,7 +107,7 @@ def lagrange_optimum(mu: float, model, kernel, market: MarketSpec) -> IndemnityS
     ]
     layers = [Layer(a, b) for a, b in edges if b - a > _WIDTH_TOL * max(1.0, x_eps)]
 
-    if market.risk_measure == CVAR and layers and layers[-1].detachment >= x_eps - _WIDTH_TOL:
+    if ledger.measure == CVAR and layers and layers[-1].detachment >= x_eps - _WIDTH_TOL:
         if mu > kernel.survival_value(eps):
             _, s_stop, _, tail_top = kernel.crossings(0.0, mu / eps)
             detach = math.inf if tail_top <= 0.0 else float(model.isf(s_stop))
@@ -129,14 +130,14 @@ def solve_attachment_fixed_point(model, kernel, market: MarketSpec, *, tol_root:
     ratio) when the balance equation has no root; flags when it has two, in
     which case the smaller root is reported.
     """
-    market0 = replace(market, beta=0.0)
-    x_eps = model.var_level(market0.epsilon)
+    market0 = _without_beta(market)
+    ledger = risk_ledger(model, market0)
+    x_eps, floor = ledger.x_eps, ledger.floor
     gain = market0.gamma * model.mean
-    floor = risk_ledger(model, market0, 0.0, x_eps)[0]
 
     def resid(a: float) -> float:
         g = gain - curve_cost(model, kernel, a, x_eps, tol=1e-12)
-        r = float(floor - risk_ledger(model, market0, a, x_eps)[1])
+        r = float(floor - ledger.relief(a, x_eps))
         return float(kernel.survival_value(model.sf(a))) * r - g
 
     _, _, peak, _ = kernel.crossings(0.0)
@@ -147,24 +148,33 @@ def solve_attachment_fixed_point(model, kernel, market: MarketSpec, *, tol_root:
         return AttachmentResult(x_eps, gain / floor, False)
     lo, hi = brackets[0]
     a_hat = bisect_root(resid, lo, hi, xtol=tol_root)
-    ratio = criterion(model, kernel, truncated_stop_loss(a_hat, x_eps), market0).ratio
+    ratio = ledger.valuation(kernel, truncated_stop_loss(a_hat, x_eps), market0).ratio
     return AttachmentResult(a_hat, ratio, len(brackets) > 1)
 
 
+def _without_beta(market: MarketSpec) -> MarketSpec:
+    return market if market.beta == 0.0 else replace(market, beta=0.0)
+
+
 def _dinkelbach(step, model, kernel, market: MarketSpec, mu0, tol: float, max_iter: int) -> OptimResult:
-    """Dinkelbach iteration over the schedules ``step(mu, ...)`` may return."""
+    """Dinkelbach iteration over the schedules ``step(mu, kernel, ledger)`` may return.
+
+    The ledger, built once, prices x_eps, TI(x_eps) and the no-cession risk
+    for every iterate.
+    """
     _check_positive(tol, "multiplier tolerance")
-    market0 = replace(market, beta=0.0)
-    no_cession = criterion(model, kernel, zero_schedule(), market0)
+    market0 = _without_beta(market)
+    ledger = risk_ledger(model, market0)
+    no_cession = ledger.valuation(kernel, zero_schedule(), market0)
     floor = no_cession.ratio
     mu = floor if mu0 is None else float(mu0)
     trace = [mu]
     restarted = False
     step_size = math.inf
     for _ in range(max_iter):
-        schedule, value = step(mu, model, kernel, market0), None
+        schedule, value = step(mu, kernel, ledger), None
         try:
-            value = no_cession if schedule.is_zero else criterion(model, kernel, schedule, market0)
+            value = no_cession if schedule.is_zero else ledger.valuation(kernel, schedule, market0)
         except NonpositiveRiskError as exc:
             profit = expected_profit(model, kernel, schedule, market0)
             if profit > 0.0:
@@ -187,7 +197,9 @@ def _dinkelbach(step, model, kernel, market: MarketSpec, mu0, tol: float, max_it
     else:
         raise ValueError(f"Dinkelbach iteration did not converge in {max_iter} iterations; last step {step_size:.3e}")
     # the last iterate's valuation is the result's unless beta shifts it
-    return _finish(schedule, model, kernel, market, trace, value if market.beta == 0.0 else None)
+    if market.beta != 0.0:
+        value = ledger.valuation(kernel, schedule, market)
+    return _finish(schedule, value, trace)
 
 
 def dinkelbach_optimize(
@@ -211,22 +223,22 @@ def dinkelbach_optimize(
     Raises ``ValueError`` unless ``tol`` is positive and finite, and when
     ``max_iter`` iterations pass without such a step.
     """
-    return _dinkelbach(lagrange_optimum, model, kernel, market, mu0, tol, max_iter)
+    return _dinkelbach(_cede_where_gain, model, kernel, market, mu0, tol, max_iter)
 
 
-def _best_single_layer(mu: float, model, kernel, market: MarketSpec) -> IndemnitySchedule:
+def _best_single_layer(mu: float, kernel, ledger: RiskLedger) -> IndemnitySchedule:
     """The single layer maximizing mu * relief - cost, a maximum-subarray problem.
 
     The marginal gain is positive exactly on the at most two runs of
     ``lagrange_optimum(mu)``, so the best interval is one run or their hull.
     """
-    schedule = lagrange_optimum(mu, model, kernel, market)
+    schedule = _cede_where_gain(mu, kernel, ledger)
     runs = schedule.layers()
     if len(runs) < 2:
         return schedule
     (a1, b1), (a2, b2) = ((run.attachment, run.detachment) for run in runs)
-    c1, c_gap, c2 = (curve_cost(model, kernel, lo, hi) for lo, hi in ((a1, b1), (b1, a2), (a2, b2)))
-    relief = risk_ledger(model, market, [a1, a2, a1], [b1, b2, b2])[1]
+    c1, c_gap, c2 = (curve_cost(ledger.model, kernel, lo, hi) for lo, hi in ((a1, b1), (b1, a2), (a2, b2)))
+    relief = ledger.relief([a1, a2, a1], [b1, b2, b2])
     best = int(np.argmax(mu * relief - np.array([c1, c2, c1 + c_gap + c2])))
     return truncated_stop_loss(*((a1, b1), (a2, b2), (a1, b2))[best])
 
@@ -257,12 +269,12 @@ def discrete_bruteforce_oracle(
     n = int(n_cells)
     if not (1 <= n <= 20):
         raise ValueError("n_cells must lie in 1..20 (enumeration cost guard)")
-    market0 = replace(market, beta=0.0)
     if x_max is None:
-        x_max = float(model.quantile(1.0 - market0.epsilon / 10.0))
+        x_max = float(model.quantile(1.0 - market.epsilon / 10.0))
     edges = np.linspace(0.0, float(x_max), n + 1)
     cost = np.array([curve_cost(model, kernel, lo, hi, tol=1e-12) for lo, hi in zip(edges, edges[1:])])
-    floor, relief = risk_ledger(model, market0, edges[:-1], edges[1:])
+    ledger = risk_ledger(model, market)
+    floor, relief = ledger.floor, ledger.relief(edges[:-1], edges[1:])
 
     best_ratio = -math.inf
     best_mask = 0
@@ -272,7 +284,7 @@ def discrete_bruteforce_oracle(
         masks = np.arange(start, stop, dtype=np.uint32)
         bits = ((masks[:, None] >> powers[None, :]) & 1).astype(np.float64)
         risk = floor - bits @ relief
-        profit = market0.gamma * model.mean - bits @ cost
+        profit = market.gamma * model.mean - bits @ cost
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(risk > 1e-12, profit / risk, -np.inf)
         k = int(np.argmax(ratios))
@@ -282,4 +294,5 @@ def discrete_bruteforce_oracle(
 
     # adjacent ceded cells merge into one layer
     cells = [Layer(lo, hi) for i, (lo, hi) in enumerate(zip(edges, edges[1:])) if (best_mask >> i) & 1]
-    return _finish(schedule_from_layers(cells), model, kernel, market)
+    schedule = schedule_from_layers(cells)
+    return _finish(schedule, ledger.valuation(kernel, schedule, market))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,46 +66,82 @@ def reinsurer_surplus(model, kernel, schedule: IndemnitySchedule, *, tol: float 
     return total
 
 
-def risk_ledger(model, market: MarketSpec, a, b):
-    """Retained risk without cession, and its drop from ceding each layer [a, b).
+# a named tuple: cheaper to define at import and to build than a dataclass
+class RiskLedger(NamedTuple):
+    """Retained risk of one model, epsilon and measure, priced once per solve.
 
     Retained VaR and CVaR are linear in the indemnity schedule, so a schedule
     paying slope s_i on layers [a_i, b_i) retains ``floor - s @ relief``.  A
-    layer relieves its width below the VaR level and, under CVaR (the expected
-    shortfall x_eps + E(X - x_eps)+ / epsilon), its tail integral above that
-    level divided by epsilon.  The floor is the relief of full cession
-    [0, inf), so ceding everything retains exactly 0.  ``a`` and ``b``
-    broadcast; ``b`` may be infinite.  Returns ``(floor, relief)``.
+    layer relieves its width below the VaR level ``x_eps`` and, under CVaR
+    (the expected shortfall x_eps + E(X - x_eps)+ / epsilon), its tail
+    integral above that level divided by epsilon.  The floor, the risk
+    without cession, is the relief of full cession [0, inf) in closed form:
+    x_eps + ``ti_eps`` / epsilon under CVaR, with ``ti_eps`` = TI(x_eps), and
+    x_eps under VaR.  So ceding everything retains exactly 0.
     """
-    x_eps = model.var_level(market.epsilon)
-    cvar = market.risk_measure == CVAR
-    ti_eps = float(model.tail_integral(x_eps)) if cvar else 0.0
 
-    def beyond(t):
-        # TI(max(t, x_eps)), 0 at infinity; every t up to the VaR level reads the one
-        # value TI(x_eps), where vectorized and scalar evaluation may round apart
-        inner = (t > x_eps) & np.isfinite(t)
-        edge = np.where(np.isinf(t), 0.0, ti_eps)
-        return np.where(inner, model.tail_integral(np.where(inner, t, x_eps)), edge) if inner.any() else edge
+    model: object
+    epsilon: float
+    measure: str
+    x_eps: float
+    ti_eps: float
+    floor: float
 
-    def relief(a, b):
+    def relief(self, a, b):
+        """Drop in retained risk from ceding each layer [a, b); ``a`` and ``b``
+        broadcast, and ``b`` may be infinite."""
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        x_eps = self.x_eps
         width = np.minimum(b, x_eps) - np.minimum(a, x_eps)
-        return width + (beyond(a) - beyond(b)) / market.epsilon if cvar else width
+        if self.measure != CVAR:
+            return width
 
-    return float(relief(0.0, math.inf)), relief(a, b)
+        def beyond(t):
+            # TI(max(t, x_eps)), 0 at infinity; every t up to the VaR level reads the one
+            # value TI(x_eps), where vectorized and scalar evaluation may round apart
+            inner = (t > x_eps) & np.isfinite(t)
+            edge = np.where(np.isinf(t), 0.0, self.ti_eps)
+            return np.where(inner, self.model.tail_integral(np.where(inner, t, x_eps)), edge) if inner.any() else edge
+
+        return width + (beyond(a) - beyond(b)) / self.epsilon
+
+    def retained(self, schedule: IndemnitySchedule) -> float:
+        """Retained risk of ``schedule``, relieved over its ceded segments only,
+        so no cession retains ``floor`` without a relief call."""
+        ceded = [segment for segment in schedule.segments() if segment[2] > 0.0]
+        if not ceded:
+            return self.floor
+        starts, ends, slopes = zip(*ceded)
+        return float(self.floor - np.asarray(slopes) @ self.relief(starts, ends))
+
+    def risk(self, schedule: IndemnitySchedule) -> float:
+        """``retained``, refused with NonpositiveRiskError unless positive."""
+        risk = self.retained(schedule)
+        if risk <= 0.0:
+            raise NonpositiveRiskError(f"retained {self.measure} is {risk:.3e}; the ratio criterion is undefined")
+        return risk
+
+    def valuation(self, kernel, schedule: IndemnitySchedule, market: MarketSpec, *, tol: float = 1e-10) -> Valuation:
+        """The full valuation under ``market``, whose epsilon and measure are the ledger's."""
+        risk = self.risk(schedule)
+        surplus = reinsurer_surplus(self.model, kernel, schedule, tol=tol)
+        profit = market.gamma * self.model.mean - surplus - market.beta * risk
+        return Valuation(surplus=surplus, profit=profit, risk=risk, ratio=profit / risk)
+
+
+def risk_ledger(model, market: MarketSpec) -> RiskLedger:
+    """The ledger of ``model`` under ``market``'s epsilon and risk measure."""
+    eps = market.epsilon
+    x_eps = model.var_level(eps)
+    if market.risk_measure == CVAR:
+        ti_eps = float(model.tail_integral(x_eps))
+        return RiskLedger(model, eps, CVAR, x_eps, ti_eps, x_eps + ti_eps / eps)
+    return RiskLedger(model, eps, market.risk_measure, x_eps, 0.0, x_eps)
 
 
 def retained_risk(model, schedule: IndemnitySchedule, market: MarketSpec) -> float:
     """VaR or CVaR of the cedent's loss net of the schedule."""
-    starts, ends, slopes = zip(*schedule.segments())
-    floor, relief = risk_ledger(model, market, starts, ends)
-    risk = float(floor - np.asarray(slopes) @ relief)
-    if risk <= 0.0:
-        raise NonpositiveRiskError(
-            f"retained {market.risk_measure} is {risk:.3e}; the ratio criterion is undefined"
-        )
-    return risk
+    return risk_ledger(model, market).risk(schedule)
 
 
 def expected_profit(model, kernel, schedule: IndemnitySchedule, market: MarketSpec, *, tol: float = 1e-10) -> float:
@@ -117,7 +154,4 @@ def expected_profit(model, kernel, schedule: IndemnitySchedule, market: MarketSp
 
 def criterion(model, kernel, schedule: IndemnitySchedule, market: MarketSpec, *, tol: float = 1e-10) -> Valuation:
     """Assemble the full valuation; raises NonpositiveRiskError when undefined."""
-    risk = retained_risk(model, schedule, market)
-    surplus = reinsurer_surplus(model, kernel, schedule, tol=tol)
-    profit = market.gamma * model.mean - surplus - market.beta * risk
-    return Valuation(surplus=surplus, profit=profit, risk=risk, ratio=profit / risk)
+    return risk_ledger(model, market).valuation(kernel, schedule, market, tol=tol)

@@ -409,20 +409,20 @@ def test_closed_forms_bisect_nothing(monkeypatch):
     power.crossings(0.01, 0.5)
 
 
-@pytest.mark.parametrize("m", [1e-45, 1e-300], ids=["deep-lo", "underflow"])
-def test_power_level_edges_below_the_bisection_resolution(m):
-    # the lo edge of s**r - tau * s >= m lies at about m**(1 / r): 1e-150 for m = 1e-45 and r = 0.3,
-    # and below the smallest subnormal for m = 1e-300, where it is 0.0; bisecting to 1e-15 of the
-    # peak (0.108 here) stops near 5e-17 in both cases
+@pytest.mark.parametrize("m, root", [(1e-3, 1e-10), (1e-45, 1e-150), (1e-300, 0.0)], ids=["lo", "deep-lo", "underflow"])
+def test_power_level_edges_below_the_bisection_resolution(m, root):
+    # the lo edge of s**r - tau * s >= m lies at about m**(1 / r): 1e-10 for m = 1e-3 and r = 0.3,
+    # 1e-150 for m = 1e-45, and below the smallest subnormal for m = 1e-300, where it is 0.0;
+    # the bisection default finds it to relative precision, as Newton does
     curve, t = DistortionCurve(PowerDistortion(0.3)), _tilts(0.5)[0]
     tau = 1.0 - t
     lo, hi = curve.level_edges(t, m)
     bisected = BaseCurve.level_edges(curve, t, m)
-    assert bisected[0] > 1e-17 and hi == pytest.approx(bisected[1], rel=1e-13)
-    if m ** (1.0 / 0.3) == 0.0:
-        assert lo == 0.0
+    assert bisected[0] == pytest.approx(lo, rel=2e-15, abs=0.0) and hi == pytest.approx(bisected[1], rel=1e-13)
+    assert lo == pytest.approx(root, rel=1e-6, abs=0.0)
+    if root == 0.0:
+        assert m ** (1.0 / 0.3) == 0.0
     else:
-        assert lo == pytest.approx(1e-150, rel=1e-13)
         assert lo**0.3 - tau * lo == pytest.approx(m, rel=1e-15, abs=0.0)
     _assert_level_set(curve, t, m, lo, hi, float(_tilted(curve, t, curve.tilted_peak(t))))
 
@@ -467,8 +467,8 @@ def test_power_level_edges_hit_the_level_and_match_the_bisection_default(r, t, f
         return  # ill conditioned near the top; subnormal terms below 1e-290
     tau = 1.0 - t
     for edge, bisected in zip((lo, hi), BaseCurve.level_edges(curve, t, m)):
-        if bisected == 1.0:
-            assert edge == 1.0
+        if bisected in (0.0, 1.0):  # 0.0: an edge below the smallest subnormal
+            assert edge == bisected
             continue
         # to the condition number of the root: the relative move of the edge per relative rounding
         # of the terms of h(s) = s**r - tau * s - m, which grows as r nears 1 (ILL_CONDITIONED)

@@ -46,7 +46,8 @@ from layeropt import (
 )
 from conftest import cumulative_kernel_cost
 from layeropt._integrate import curve_cost, purchasable
-from layeropt.valuation import risk_ledger
+import layeropt.optimizer as optimizer_module
+from layeropt.valuation import RiskLedger, risk_ledger
 
 MODEL = Exponential(1.0)
 KERNEL = quadratic_kernel(0.5, 0.1)
@@ -378,7 +379,8 @@ def _grid_best_ratio(model, kernel, market, n=400):
     if purchasable(model, kernel):
         tail = cum[-1] + curve_cost(model, kernel, pts[-1], math.inf)
         cost, b = np.hstack([cost, tail - cum[:, None]]), np.append(pts, math.inf)
-    floor, relief = risk_ledger(model, market, pts[:, None], b[None, :])
+    ledger = risk_ledger(model, market)
+    floor, relief = ledger.floor, ledger.relief(pts[:, None], b[None, :])
     ok = (b[None, :] > pts[:, None]) & (floor - relief > 0.0)
     ratios = (market.gamma * model.mean - cost) / np.where(ok, floor - relief, 1.0)
     return float(np.max(np.where(ok, ratios, -np.inf)))
@@ -660,15 +662,14 @@ def test_unbounded_results_hold_python_floats():
 
 @pytest.mark.parametrize("solve", [dinkelbach_optimize, best_truncated_stop_loss])
 def test_returned_schedule_is_priced_once(monkeypatch, solve):
-    import layeropt.optimizer as optimizer
-
     calls = []
+    valuation = RiskLedger.valuation
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return criterion(*args, **kwargs)
+        return valuation(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "criterion", counted)
+    monkeypatch.setattr(RiskLedger, "valuation", counted)
     counts = []
     for beta in (0.0, 0.3):
         market = dataclasses.replace(VAR_MARKET, beta=beta)
@@ -678,6 +679,44 @@ def test_returned_schedule_is_priced_once(monkeypatch, solve):
         assert result.valuation == criterion(MODEL, KERNEL, result.schedule, market)
     # beta shifts every ratio alike, so both runs take the same iterates; only beta > 0 prices the result again
     assert counts[0] == counts[1] - 1
+
+
+class _CountingExponential(Exponential):
+    """Exponential loss counting its VaR levels and its tail integrals at a scalar."""
+
+    calls = {"var_level": 0, "tail_integral": 0}
+
+    def var_level(self, epsilon):
+        self.calls["var_level"] += 1
+        return super().var_level(epsilon)
+
+    def tail_integral(self, t):
+        # the relief of a layer reaching past the VaR level integrates the tail at an array
+        self.calls["tail_integral"] += np.ndim(t) == 0
+        return super().tail_integral(t)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+@pytest.mark.parametrize("measure", [VAR, CVAR])
+@pytest.mark.parametrize(
+    "solve", [dinkelbach_optimize, best_truncated_stop_loss, solve_attachment_fixed_point],
+    ids=["dinkelbach", "stop-loss", "fixed-point"],
+)
+def test_one_var_level_per_solve(monkeypatch, solve, measure, beta):
+    # x_eps and, under CVaR, TI(x_eps) are priced once per solve, however many iterates or
+    # bisection residuals the solve prices
+    model = _CountingExponential(1.0)
+    calls = {"var_level": 0, "tail_integral": 0}
+    monkeypatch.setattr(_CountingExponential, "calls", calls)
+    costs = []  # the fixed point prices one layer per bisection residual
+    counted = lambda *args, **kw: costs.append(args) or curve_cost(*args, **kw)  # noqa: E731
+    monkeypatch.setattr(optimizer_module, "curve_cost", counted)
+    result = solve(model, KERNEL, MarketSpec(gamma=0.15, epsilon=0.05, risk_measure=measure, beta=beta))
+    if isinstance(result, OptimResult):
+        assert len(result.mu_trace) > 3
+    else:
+        assert len(costs) > 10
+    assert calls == {"var_level": 1, "tail_integral": int(measure == CVAR)}
 
 
 @pytest.mark.parametrize("measure", [VAR, CVAR])

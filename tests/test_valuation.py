@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layeropt import (
     CVAR,
@@ -11,6 +13,7 @@ from layeropt import (
     Exponential,
     Gamma,
     IndemnitySchedule,
+    Layer,
     Lognormal,
     MarketSpec,
     NonpositiveRiskError,
@@ -22,6 +25,7 @@ from layeropt import (
     quadratic_kernel,
     reinsurer_surplus,
     retained_risk,
+    schedule_from_layers,
     truncated_stop_loss,
     zero_schedule,
 )
@@ -129,7 +133,8 @@ class TestRiskLedger:
         x_eps = model.var_level(market.epsilon)
         a = np.array([0.2, 1.0, 2.5, 3.2])
         b = np.array([0.5, 2.0, x_eps, x_eps + 1.0, math.inf])
-        floor, relief = risk_ledger(model, market, a[:, None], b[None, :])
+        ledger = risk_ledger(model, market)
+        floor, relief = ledger.floor, ledger.relief(a[:, None], b[None, :])
         assert floor == retained_risk(model, zero_schedule(), market)
         assert relief.shape == (4, 5)
         for i, lo in enumerate(a):
@@ -159,15 +164,15 @@ class TestFullCession:
     @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.family)
     def test_retains_exactly_nothing(self, model, measure, eps):
         market = MarketSpec(0.1, eps, measure)
-        floor, relief = risk_ledger(model, market, 0.0, math.inf)
-        assert relief == floor
+        ledger = risk_ledger(model, market)
+        assert ledger.relief(0.0, math.inf) == ledger.floor
         # the same within a batch, where the tail integral is vectorized
-        _, batch = risk_ledger(model, market, [0.5, 0.0, 0.0, 1.0], [2.0, math.inf, 1.0, math.inf])
-        assert batch[1] == floor
+        batch = ledger.relief([0.5, 0.0, 0.0, 1.0], [2.0, math.inf, 1.0, math.inf])
+        assert batch[1] == ledger.floor
         with pytest.raises(NonpositiveRiskError):
             retained_risk(model, full_cession(), market)
         if measure == "var":
-            assert floor == model.var_level(eps)
+            assert ledger.floor == model.var_level(eps)
 
     @pytest.mark.parametrize("eps, want", [(0.05, 0.5), (0.2, 0.125)])
     def test_no_cession_cvar_is_the_expected_shortfall_on_an_atom(self, eps, want):
@@ -176,6 +181,49 @@ class TestFullCession:
         assert ATOM_TABLE.var_level(eps) == 0.0
         risk = retained_risk(ATOM_TABLE, zero_schedule(), MarketSpec(0.1, eps, "cvar"))
         assert abs(risk - want) <= 1e-15
+
+
+def _drawn_model(family: int, param: float):
+    """A model of one of the six families; ``param`` in [0, 1] sets its shape."""
+    if family == 0:
+        return Exponential(0.5 + 2.0 * param)
+    if family == 1:
+        return Pareto.with_mean(1.3 + 3.7 * param, 1.0)
+    if family == 2:
+        return Lognormal.from_mean(1.0, 0.3 + 1.7 * param)
+    if family == 3:
+        return Gamma.from_mean(1.0, 0.3 + 3.7 * param)
+    if family == 4:
+        return portfolio_normal_model(int(10 + 990 * param), 1.0, 1.0)
+    return EmpiricalTable((0.0, 0.5, 2.0, 5.0), (0.1, 0.4, 0.8, 0.97)).rescale(0.5 + 2.0 * param)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.integers(0, 5),
+    st.floats(0.0, 1.0),
+    st.sampled_from(["var", "cvar"]),
+    st.floats(0.01, 0.3),
+    st.integers(0, 3).flatmap(lambda k: st.lists(st.floats(0.0, 4.0), min_size=2 * k, max_size=2 * k, unique=True)),
+    st.booleans(),
+)
+def test_ledger_matches_the_all_segment_relief(family, param, measure, eps, edges, unbounded):
+    """The closed-form floor is the relief of [0, inf) bit for bit, and relieving a bang-bang
+    schedule over its ceded segments only retains exactly what the dot product over every
+    segment does."""
+    model = _drawn_model(family, param)
+    ledger = risk_ledger(model, MarketSpec(0.1, eps, measure))
+    assert ledger.x_eps == model.var_level(eps)
+    assert ledger.floor == float(ledger.relief(0.0, math.inf))
+    unit = max(ledger.x_eps, model.mean)
+    edges = sorted(e * unit for e in edges)
+    if unbounded and edges:
+        edges[-1] = math.inf
+    schedule = schedule_from_layers([Layer(a, b) for a, b in zip(edges[::2], edges[1::2]) if b > a])
+    starts, ends, slopes = zip(*schedule.segments())
+    every = float(ledger.floor - np.asarray(slopes) @ ledger.relief(starts, ends))
+    assert ledger.retained(schedule) == every
+    assert ledger.retained(full_cession()) == 0.0
 
 
 class TestCriterion:
