@@ -8,7 +8,21 @@ import numpy as np
 
 from .losses import _check_positive
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# the 24-node Gauss-Legendre rule on [-1, 1], as numpy.polynomial.legendre.leggauss(24)
+# gives it bit for bit, without importing numpy.polynomial; the rule is symmetric, so
+# the nodes in (0, 1) and their weights fix it
+_GL_HALF_NODES = (
+    0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+    0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+    0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213,
+)
+_GL_HALF_WEIGHTS = (
+    0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+    0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+    0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869,
+)
+_GL_NODES = np.array([-x for x in reversed(_GL_HALF_NODES)] + list(_GL_HALF_NODES))
+_GL_WEIGHTS = np.array(list(reversed(_GL_HALF_WEIGHTS)) + list(_GL_HALF_WEIGHTS))
 _OCTAVES = 64  # survival octaves per vectorized block of the tail
 # survival octaves between a finite layer's seeded edges: a 24-node panel
 # integrates an exponential decay to rounding while S falls by up to about

@@ -10,6 +10,11 @@ Far in a loss tail u = F(x) rounds to 1, so every curve is evaluated at
 survival level s = 1 - u directly (``survival_value``), and that is the one
 evaluation path: ``value(u)`` and the kernel's ``k(u)`` are
 ``survival_value(1 - u)``, for callers that start from a probability level.
+A Python float is priced in float arithmetic and comes back a float, as the
+single levels of the crossings below are; anything else is priced as a numpy
+array.  ``PricingKernel`` refuses levels outside [0, 1] and NaN on both paths,
+and the paths agree bit for bit: powers stay on ``np.power``, whose loop
+libm's ``pow`` rounds apart from in the last place.
 Every curve also gives the leading power p of K0(1 - s) as s -> 0
 (``survival_exponent``: unbounded cover on a tail of index alpha has a
 finite price iff alpha * p > 1) and the survival levels where it is not
@@ -41,11 +46,18 @@ _CONCAVITY_GRID = np.linspace(0.0, 1.0, 201)
 _TINY = math.ulp(0.0)  # the smallest subnormal
 
 
+def _level(u):
+    """A Python float as it is, anything else as a float array: the scalar and the array path."""
+    return u if type(u) is float else np.asarray(u, dtype=float)
+
+
 def _validate_unit(u):
-    arr = np.asarray(u, dtype=float)
-    if np.any((arr < 0.0) | (arr > 1.0)):
+    u = _level(u)
+    # the one range check, spelled for a float and for an array; NaN fails both
+    inside = 0.0 <= u <= 1.0 if type(u) is float else np.all((u >= 0.0) & (u <= 1.0))
+    if not inside:
         raise ValueError("probability level must lie in [0, 1]")
-    return arr
+    return u
 
 
 def _around(peak: float, lo: float, hi: float) -> tuple[float, float]:
@@ -134,7 +146,8 @@ class PowerDistortion(Distortion):
             raise ValueError("exponent must be positive and finite")
 
     def value(self, s):
-        return _ret(np.asarray(s, dtype=float) ** self.exponent)
+        # np.power, not **, on a float too: libm's pow rounds differently from numpy's loop
+        return _ret(np.power(_level(s), self.exponent))
 
     def slope_at_one(self) -> float:
         return self.exponent
@@ -181,7 +194,7 @@ class CappedLinearDistortion(Distortion):
             raise ValueError("slope must be at least 1")
 
     def value(self, s):
-        return _ret(np.minimum(self.slope * np.asarray(s, dtype=float), 1.0))
+        return _ret(np.minimum(self.slope * _level(s), 1.0))
 
     def slope_at_one(self) -> float:
         return 1.0 if self.slope == 1.0 else 0.0
@@ -223,7 +236,7 @@ class BaseCurve(ABC):
 
     def value(self, u):
         """K0(u), evaluated as ``survival_value(1 - u)``."""
-        return self.survival_value(1.0 - np.asarray(u, dtype=float))
+        return self.survival_value(1.0 - _level(u))
 
     @abstractmethod
     def tilted_peak(self, t: float) -> float:
@@ -288,7 +301,7 @@ class QuadraticCurve(BaseCurve):
             raise ValueError("c must lie in (0, 1]")
 
     def survival_value(self, s):
-        s = np.asarray(s, dtype=float)
+        s = _level(s)
         return _ret(self.c * s * (1.0 - s))
 
     def tilted_peak(self, t: float) -> float:
@@ -323,8 +336,8 @@ class DistortionCurve(BaseCurve):
             raise ValueError("distortion must dominate the identity, g(s) >= s")
 
     def survival_value(self, s):
-        s = np.asarray(s, dtype=float)
-        return _ret(np.asarray(self.distortion.value(s)) - s)
+        s = _level(s)
+        return _ret(self.distortion.value(s) - s)
 
     def tilted_peak(self, t: float) -> float:
         return self.distortion.tilted_peak(1.0 - t)
@@ -373,7 +386,7 @@ class PricingKernel:
 
     def k0(self, u):
         """Normalized kernel at level u."""
-        return self.base.value(_validate_unit(u))
+        return _ret(self.base.value(_validate_unit(u)))
 
     def k(self, u):
         """Loaded kernel at level u, ``survival_value(1 - u)``; k(0) = gamma_r and k(1) = 0."""
@@ -382,7 +395,7 @@ class PricingKernel:
     def survival_value(self, s):
         """Loaded kernel at survival level s, K(1 - s), computed without forming u."""
         s = _validate_unit(s)
-        return _ret((1.0 + self.gamma_r) * np.asarray(self.base.survival_value(s)) + self.gamma_r * s)
+        return _ret((1.0 + self.gamma_r) * self.base.survival_value(s) + self.gamma_r * s)
 
     @property
     def survival_exponent(self) -> float:

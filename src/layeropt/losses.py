@@ -11,7 +11,8 @@ smallest double, where ``1 - cdf`` and ``quantile(1 - s)`` round to nothing.
 
 ``LossModel``'s public primitives check their input once and return a float
 for a scalar; each family implements ``_cdf`` ... ``_tail_integral`` on the
-checked array.
+checked array, and ``_quantile`` also on the checked float 1 - epsilon that
+``var_level`` passes.
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ def _normal():
 
 
 def _ret(arr):
+    """A float (a numpy float64 scalar too) as a Python float, a 0-d array as a float, an array as it is."""
+    if isinstance(arr, float):
+        return float(arr)
     arr = np.asarray(arr)
     return float(arr) if arr.ndim == 0 else arr
 
@@ -150,8 +154,15 @@ class LossModel(ABC):
         return _ret(t_arr + np.asarray(self.tail_integral(t_arr)) / surv)
 
     def var_level(self, epsilon: float) -> float:
-        """The (1 - epsilon)-quantile, the reference point of the risk measures."""
-        return float(self.quantile(1.0 - epsilon))
+        """The (1 - epsilon)-quantile, the reference point of the risk measures.
+
+        1 - epsilon is checked once, as a float, and goes to the family's
+        ``_quantile`` as it is: the same operations as ``quantile`` on it.
+        """
+        p = 1.0 - epsilon
+        if not 0.0 < p < 1.0:  # NaN fails this test too
+            raise ValueError("probability must lie strictly inside (0, 1)")
+        return float(self._quantile(p))
 
 
 def _check_positive(value: float, name: str):

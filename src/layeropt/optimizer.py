@@ -13,7 +13,9 @@ multiplier step picks one of those intervals or their hull.
 
 Every kernel price is taken in survival space, K(F(x)) as
 ``kernel.survival_value(model.sf(x))``: the one evaluation path, which keeps
-its precision where F(x) rounds to 1.
+its precision where F(x) rounds to 1.  A multiplier step prices single
+survival levels, and a Python float is priced there in float arithmetic,
+bit for bit what an array of it gives.
 """
 
 from __future__ import annotations

@@ -250,6 +250,20 @@ def test_numpy_only_paths_never_import_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_gauss_legendre_literals_are_leggauss_and_the_exact_rule():
+    # the stored rule is leggauss(24) bit for bit, so no price moves
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    assert _integrate._GL_NODES.tobytes() == nodes.tobytes()
+    assert _integrate._GL_WEIGHTS.tobytes() == weights.tobytes()
+    with mp.workdps(40):
+        # mpmath's rule of degree 4 has 3 * 2**3 = 24 nodes
+        rule = sorted(mp.calculus.quadrature.GaussLegendre(mp.mp).calc_nodes(4, mp.mp.prec))
+        for node, weight, (exact_node, exact_weight) in zip(nodes, weights, rule):
+            assert abs(node - exact_node) <= 2 * math.ulp(float(exact_node))
+            # leggauss rounds its weights less closely: up to 1.5e-15 apart (859 ulp at the outermost node)
+            assert abs(weight - exact_weight) <= 8 * 2.0**-52
+
+
 def test_singular_density_at_zero():
     # gamma shape 0.2: the cdf behaves like x**0.2 at the origin
     model = Gamma.from_mean(1.0, 0.2)

@@ -57,6 +57,11 @@ class TestLoadedKernel:
             BASELINE.k(-0.01)
         with pytest.raises(ValueError):
             BASELINE.k0(1.01)
+        # NaN is refused at a float, a 0-d array and inside an array, as every loss primitive refuses it
+        for level in (math.nan, np.float64(math.nan), np.array([0.5, math.nan])):
+            for evaluate in (BASELINE.k, BASELINE.k0, BASELINE.survival_value):
+                with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                    evaluate(level)
 
     def test_concavity_on_grid(self):
         u = np.linspace(0.0, 1.0, 200)
@@ -512,3 +517,81 @@ def test_user_curve_gets_edges_from_the_bisection_default(fraction):
     assert lo == pytest.approx(root, rel=1e-13, abs=1e-15)
     assert hi == pytest.approx(1.0 - root, rel=1e-13, abs=1e-15)
     _assert_level_set(kernel.base, 0.0, mu / 1.1, lo, hi, top / 1.1)
+
+
+# levels from zero through the smallest subnormal and the last float below one
+EVALUATION_LEVELS = (0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0 - 2.0**-53, 1.0)
+
+
+def _unchecked(cls, **fields):
+    """An instance of a frozen dataclass built without its ``__post_init__`` checks."""
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    return instance
+
+
+def _evaluation_cases():
+    # power r > 1 and InterpolatedSquare fail DistortionCurve's dominance check and their kernels the
+    # concavity check; evaluation does not depend on either, so those are built unchecked
+    cases = [
+        ("quadratic", QuadraticCurve(0.5), True),
+        ("power-0.3", DistortionCurve(PowerDistortion(0.3)), True),
+        ("power-1", DistortionCurve(PowerDistortion(1.0)), True),
+        ("power-1.5", _unchecked(DistortionCurve, distortion=PowerDistortion(1.5)), False),
+        ("capped-linear-1", DistortionCurve(CappedLinearDistortion(1.0)), True),
+        ("capped-linear-3", DistortionCurve(CappedLinearDistortion(3.0)), True),
+        ("interpolated", _unchecked(DistortionCurve, distortion=InterpolatedSquare()), False),
+        ("sine", SineCurve(0.5), True),
+    ]
+    return [
+        pytest.param(base, PricingKernel(base, 0.1) if valid else _unchecked(PricingKernel, base=base, gamma_r=0.1), id=name)
+        for name, base, valid in cases
+    ]
+
+
+def _assert_float_matches_array(evaluate, level, *, python_float=True):
+    got, want = evaluate(level), evaluate(np.array([level]))[0]
+    # a user curve (SineCurve, InterpolatedSquare) may answer a float with a numpy float64
+    assert type(got) is float if python_float else isinstance(got, float)
+    assert float(got).hex() == float(want).hex(), (level, got, want)
+
+
+@pytest.mark.parametrize("base, kernel", _evaluation_cases())
+@pytest.mark.parametrize("level", EVALUATION_LEVELS)
+def test_float_evaluation_matches_the_array_path_bit_for_bit(base, kernel, level):
+    # the float path keeps numpy's power loop, which rounds apart from libm's pow: s**r in its place
+    # fails this at s = 0.5 with r = 0.3 and at s = 1 - 2**-53 with r = 1.5
+    package = not isinstance(base, SineCurve)
+    for evaluate in (kernel.survival_value, kernel.k, kernel.k0):
+        _assert_float_matches_array(evaluate, level)
+    for evaluate in (base.survival_value, base.value):
+        _assert_float_matches_array(evaluate, level, python_float=package)
+    if isinstance(base, DistortionCurve):
+        distortion = base.distortion
+        _assert_float_matches_array(distortion.value, level, python_float=not isinstance(distortion, InterpolatedSquare))
+
+
+def test_float_arguments_never_build_an_array(monkeypatch):
+    # kernel evaluation at a Python float stays on floats: with the array conversion refusing, every
+    # package kernel still finds its crossings, k_max and gamma_lower
+    kernels = (
+        BASELINE,
+        quadratic_kernel(1.0, 0.0),
+        from_distortion(PowerDistortion(0.6), 0.2),
+        from_distortion(PowerDistortion(1.0), 0.1),
+        from_distortion(CappedLinearDistortion(1.0), 0.1),
+        from_distortion(CappedLinearDistortion(3.0), 0.1),
+    )
+    mus = [0.5 * kernel.k_max()[1] for kernel in kernels]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a float evaluation took the array path")
+
+    monkeypatch.setattr(np, "asarray", refuse)
+    for kernel, mu in zip(kernels, mus):
+        kernel.crossings(mu)
+        kernel.crossings(0.0, 0.5)
+        kernel.crossings(0.01, 0.5)
+        kernel.k_max()
+        kernel.gamma_lower(0.05)
