@@ -23,9 +23,10 @@ smooth (``survival_knots``).
 Every curve gives in closed form the s where K0(1 - s) + t * s peaks
 (``tilted_peak``), and without bisection the edges of the interval where it
 is at least a level m (``level_edges``): the quadratic and capped-linear
-curves in closed form, the power curve in closed form at m = 0 and by Newton
-from outside the interval at m > 0.  Curves that users subclass fall back to
-bisection on each side of the peak.  From these
+curves in closed form, the power curve by Newton from outside the interval
+wherever an edge has no closed form (m = 0, the line at exponent 1, an edge
+at 0 or 1).  ``level_edges`` is abstract, so a new curve or distortion must
+give its own edges.  From these
 ``PricingKernel.crossings`` finds the one interval where the concave
 s -> K(1 - s) - slope * s is at least a level mu: layer edges, the CVaR
 detachment, the critical attachment and ``k_max`` all use it.
@@ -39,11 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import bisect_root
 from .losses import _ret
 
 _CONCAVITY_GRID = np.linspace(0.0, 1.0, 201)
-_TINY = math.ulp(0.0)  # the smallest subnormal
 
 
 def _level(u):
@@ -87,24 +86,6 @@ def _power_root(r: float, t: float, m: float, s: float, peak: float) -> float:
         s = step
 
 
-def _lower_edge(excess, peak: float) -> float:
-    """The root in [0, peak] of ``excess``, increasing there and positive at
-    ``peak``, to relative precision; 0.0 where it lies below the smallest
-    subnormal."""
-    if excess(_TINY) >= 0.0:
-        return 0.0
-    # excess(peak * 2**-j) changes sign between j_in and j_out; 2**-1100 underflows
-    j_in, j_out = 0, 1100
-    while j_out - j_in > 1:
-        j = (j_in + j_out) // 2
-        if excess(math.ldexp(peak, -j)) >= 0.0:
-            j_in = j
-        else:
-            j_out = j
-    lo = max(math.ldexp(peak, -j_out), _TINY)
-    return bisect_root(excess, lo, math.ldexp(peak, -j_in), xtol=1e-16 * lo)
-
-
 class Distortion(ABC):
     """Concave distortion g on [0, 1] with g(0) = 0, g(1) = 1, g(s) >= s."""
 
@@ -119,10 +100,10 @@ class Distortion(ABC):
     def tilted_peak(self, tau: float) -> float:
         """The s in [0, 1] maximizing g(s) - tau * s."""
 
-    def level_edges(self, t: float, m: float) -> tuple[float, float] | None:
+    @abstractmethod
+    def level_edges(self, t: float, m: float) -> tuple[float, float]:
         """Edges of {s in [0, 1] : g(s) - s + t * s >= m}, the induced curve's level set
-        (``BaseCurve.level_edges``), without bisection; None leaves the bisection default."""
-        return None
+        (``BaseCurve.level_edges``), without bisection; a new distortion must give its own."""
 
     @property
     @abstractmethod
@@ -159,21 +140,24 @@ class PowerDistortion(Distortion):
         # g'(s) = r s**(r - 1) falls to tau at s = (r / tau)**(1 / (1 - r)), beyond 1 when tau <= r
         return 1.0 if tau <= r else (r / tau) ** (1.0 / (1.0 - r))
 
-    def level_edges(self, t: float, m: float) -> tuple[float, float] | None:
+    def level_edges(self, t: float, m: float) -> tuple[float, float]:
         r, tau = self.exponent, 1.0 - t
         if m == 0.0:
             # s**r >= (1 - t) * s holds from 0 up to s**(r - 1) = 1 - t, beyond 1 when t >= 0
             return 0.0, 1.0 if tau <= 1.0 else 0.0 if r >= 1.0 else tau ** (-1.0 / (1.0 - r))
-        if tau <= 0.0 or m < 0.0:
-            return None
+        if m < 0.0 and t >= m:
+            # h(s) = s**r - tau * s - m is concave with h(0) = -m > 0 and h(1) = t - m >= 0
+            return 0.0, 1.0
         peak = self.tilted_peak(tau)
-        if r >= 1.0:  # the linear t * s >= m
-            return (peak, peak) if t <= m else (m / t, 1.0)
+        if r >= 1.0:  # the linear t * s >= m, which t < m < 0 meets below m / t
+            return (0.0, m / t) if m < 0.0 else (peak, peak) if t <= m else (m / t, 1.0)
         if peak**r - tau * peak - m <= 0.0:  # a level within rounding of the peak value
             return peak, peak
-        # h(s) = s**r - tau * s - m is below zero at m**(1 / r), where s**r = m, and at 1 unless
-        # h(1) = t - m >= 0; where m**(1 / r) underflows the root lies below the smallest subnormal
-        lo = m ** (1.0 / r)
+        # h(s) = s**r - tau * s - m, so lo = 0 where m < 0.  Where m > 0, h < 0 at s = (m / max(1, t))**(1 / r):
+        # h(s) = -tau * s for t < 1, and (t - 1) * (s - m / t) with s <= m / t < 1 for t >= 1, where the
+        # peak is s = 1 and m is below its value t; where s underflows, the root lies below the smallest
+        # subnormal.  h < 0 at 1 unless h(1) = t - m >= 0
+        lo = 0.0 if m < 0.0 else (m / max(1.0, t)) ** (1.0 / r)
         lo = 0.0 if lo == 0.0 else _power_root(r, t, m, lo, peak)
         hi = 1.0 if t >= m else _power_root(r, t, m, 1.0, peak)
         return _around(peak, lo, hi)
@@ -242,29 +226,14 @@ class BaseCurve(ABC):
     def tilted_peak(self, t: float) -> float:
         """The s in [0, 1] maximizing K0(1 - s) + t * s."""
 
+    @abstractmethod
     def level_edges(self, t: float, m: float) -> tuple[float, float]:
         """Edges (lo, hi) of {s in [0, 1] : K0(1 - s) + t * s >= m}, an interval
         around ``tilted_peak(t)``; callers ensure m is below the value there.
 
-        This default bisects each side of the peak.  The upper edge lies in
-        [peak, 1] and is bisected to 1e-15 * peak.  The lower edge may lie
-        many decades below the peak, so it is bisected to relative precision:
-        first its binary exponent, down to the smallest subnormal, which
-        brackets it within a factor of two, then the edge inside that
-        bracket.  It is 0.0 where it lies below the smallest subnormal.
-        Every curve in this module overrides it, in closed form or by
-        Newton; the default serves curves that users subclass.
+        Every curve solves them itself, in closed form or by Newton, at every
+        t and m that ``PricingKernel.crossings`` passes; a new curve must too.
         """
-        peak = self.tilted_peak(t)
-
-        def excess(s):
-            return float(self.survival_value(s)) + t * s - m
-
-        if excess(peak) <= 0.0:  # a level within rounding of the peak value
-            return peak, peak
-        lo = _lower_edge(excess, peak)
-        hi = 1.0 if excess(1.0) >= 0.0 else bisect_root(excess, peak, 1.0, xtol=1e-15 * peak, max_iter=1100)
-        return lo, hi
 
     @property
     @abstractmethod
@@ -343,8 +312,7 @@ class DistortionCurve(BaseCurve):
         return self.distortion.tilted_peak(1.0 - t)
 
     def level_edges(self, t: float, m: float) -> tuple[float, float]:
-        edges = self.distortion.level_edges(t, m)
-        return super().level_edges(t, m) if edges is None else edges
+        return self.distortion.level_edges(t, m)
 
     @property
     def survival_exponent(self) -> float:

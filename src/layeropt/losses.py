@@ -242,25 +242,26 @@ class Pareto(LossModel):
     def cdf_knots(self) -> tuple[float, ...]:
         return (self.scale,)
 
+    # np.power, not **: on a scalar, ** is libm's pow, which rounds apart from numpy's loop
     def _cdf(self, x):
         ratio = self.scale / np.maximum(x, self.scale)
-        return np.where(x <= self.scale, 0.0, 1.0 - ratio**self.shape)
+        return np.where(x <= self.scale, 0.0, 1.0 - np.power(ratio, self.shape))
 
     def _quantile(self, p):
-        return self.scale * (1.0 - p) ** (-1.0 / self.shape)
+        return self.scale * np.power(1.0 - p, -1.0 / self.shape)
 
     def _sf(self, x):
-        return (self.scale / np.maximum(x, self.scale)) ** self.shape
+        return np.power(self.scale / np.maximum(x, self.scale), self.shape)
 
     def _isf(self, s):
-        return self.scale * s ** (-1.0 / self.shape)
+        return self.scale * np.power(s, -1.0 / self.shape)
 
     @property
     def tail_index(self) -> float:
         return self.shape
 
     def _tail_integral(self, t):
-        over = self.scale**self.shape * np.maximum(t, self.scale) ** (1.0 - self.shape)
+        over = self.scale**self.shape * np.power(np.maximum(t, self.scale), 1.0 - self.shape)
         over = over / (self.shape - 1.0)
         return np.where(t < self.scale, (self.scale - t) + self.scale / (self.shape - 1.0), over)
 

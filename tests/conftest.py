@@ -1,5 +1,7 @@
 """Shared fixtures: randomized instances satisfying the single-layer hypotheses."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from layeropt import (
     check_conditions,
 )
 from layeropt import _integrate
-from layeropt._integrate import _panel_costs, curve_cost
+from layeropt._integrate import _panel_costs, bisect_root, curve_cost
 from layeropt.conditions import POSSIBLY_MULTI_LAYER, SINGLE_LAYER, TRIVIAL_INFINITE_RATIO
 
 
@@ -29,6 +31,39 @@ def cumulative_kernel_cost(model, kernel, grid):
     """
     grid = np.asarray(grid, dtype=float)
     return np.concatenate([[0.0], np.cumsum(_panel_costs(model, kernel, grid[:-1], grid[1:]))])
+
+
+def bisected_level_edges(curve, t, m):
+    """Edges (lo, hi) of {s in [0, 1] : K0(1 - s) + t * s >= m} by bisection on each side of the peak.
+
+    The tests' reference for every curve's ``level_edges``.  The upper edge
+    lies in [peak, 1] and is bisected to 1e-15 * peak.  The lower edge may
+    lie many decades below the peak, so it is bisected to relative precision:
+    first its binary exponent, down to the smallest subnormal, which brackets
+    it within a factor of two, then the edge inside that bracket.  It is 0.0
+    where it lies below the smallest subnormal.
+    """
+    peak = curve.tilted_peak(t)
+
+    def excess(s):
+        return float(curve.survival_value(s)) + t * s - m
+
+    if excess(peak) <= 0.0:  # a level within rounding of the peak value
+        return peak, peak
+    hi = 1.0 if excess(1.0) >= 0.0 else bisect_root(excess, peak, 1.0, xtol=1e-15 * peak, max_iter=1100)
+    tiny = math.ulp(0.0)  # the smallest subnormal
+    if excess(tiny) >= 0.0:
+        return 0.0, hi
+    # excess(peak * 2**-j) changes sign between j_in and j_out; 2**-1100 underflows
+    j_in, j_out = 0, 1100
+    while j_out - j_in > 1:
+        j = (j_in + j_out) // 2
+        if excess(math.ldexp(peak, -j)) >= 0.0:
+            j_in = j
+        else:
+            j_out = j
+    lo = max(math.ldexp(peak, -j_out), tiny)
+    return bisect_root(excess, lo, math.ldexp(peak, -j_in), xtol=1e-16 * lo), hi
 
 
 def two_quadrature_conditions(model, kernel, market, tol=1e-10):

@@ -23,6 +23,8 @@ from layeropt import (
 )
 from layeropt.kernels import BaseCurve, Distortion
 
+from conftest import bisected_level_edges
+
 BASELINE = quadratic_kernel(0.5, 0.1)
 
 
@@ -103,6 +105,9 @@ class InterpolatedSquare(Distortion):
 
     def tilted_peak(self, tau: float) -> float:
         return 1.0
+
+    def level_edges(self, t: float, m: float) -> tuple[float, float]:
+        raise NotImplementedError("never priced: DistortionCurve refuses a convex distortion")
 
     @property
     def survival_exponent(self) -> float:
@@ -377,9 +382,9 @@ def test_level_edges_closed_forms(curve, t, level):
     lo, hi = curve.level_edges(t, m)
     _assert_level_set(curve, t, m, lo, hi, top)
     if level != "near-top" and (curve, t) not in NOISY_EVALUATION:
-        # the bisection default agrees to its own resolution; near the top the root is ill conditioned
+        # the bisected reference agrees to its own resolution; near the top the root is ill conditioned
         # (the edges move by sqrt(top - m)), so there only the residuals above are asserted
-        for edge, bisected in zip((lo, hi), BaseCurve.level_edges(curve, t, m)):
+        for edge, bisected in zip((lo, hi), bisected_level_edges(curve, t, m)):
             assert edge == pytest.approx(bisected, rel=1e-13 * ILL_CONDITIONED.get(curve, 1.0), abs=1e-15 * peak)
 
 
@@ -397,32 +402,18 @@ def test_power_level_edges_at_zero_are_closed_form(exponent, slope):
     assert hi == (1.0 - t) ** (-1.0 / (1.0 - exponent))
     assert float(_tilted(curve, t, hi * (1.0 - 1e-6))) > 0.0 > float(_tilted(curve, t, hi * (1.0 + 1e-6)))
     assert abs(float(_tilted(curve, t, hi))) <= 1e-13
-    assert hi == pytest.approx(BaseCurve.level_edges(curve, t, 0.0)[1], rel=1e-11, abs=0.0)
-
-
-def test_closed_forms_bisect_nothing(monkeypatch):
-    import layeropt.kernels as kernels
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("bisected an edge that the curve solves itself")
-
-    monkeypatch.setattr(kernels, "bisect_root", refuse)
-    power = from_distortion(PowerDistortion(0.6), 0.2)
-    for kernel in (BASELINE, quadratic_kernel(1.0, 0.0), from_distortion(CappedLinearDistortion(3.0), 0.1), power):
-        kernel.crossings(0.5 * kernel.k_max()[1])
-    power.crossings(0.0, 0.5)
-    power.crossings(0.01, 0.5)
+    assert hi == pytest.approx(bisected_level_edges(curve, t, 0.0)[1], rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("m, root", [(1e-3, 1e-10), (1e-45, 1e-150), (1e-300, 0.0)], ids=["lo", "deep-lo", "underflow"])
 def test_power_level_edges_below_the_bisection_resolution(m, root):
     # the lo edge of s**r - tau * s >= m lies at about m**(1 / r): 1e-10 for m = 1e-3 and r = 0.3,
     # 1e-150 for m = 1e-45, and below the smallest subnormal for m = 1e-300, where it is 0.0;
-    # the bisection default finds it to relative precision, as Newton does
+    # the bisected reference finds it to relative precision, as Newton does
     curve, t = DistortionCurve(PowerDistortion(0.3)), _tilts(0.5)[0]
     tau = 1.0 - t
     lo, hi = curve.level_edges(t, m)
-    bisected = BaseCurve.level_edges(curve, t, m)
+    bisected = bisected_level_edges(curve, t, m)
     assert bisected[0] == pytest.approx(lo, rel=2e-15, abs=0.0) and hi == pytest.approx(bisected[1], rel=1e-13)
     assert lo == pytest.approx(root, rel=1e-6, abs=0.0)
     if root == 0.0:
@@ -438,7 +429,7 @@ def test_power_level_edges_below_the_bisection_resolution(m, root):
 def test_power_hi_edge_near_one_within_a_unit_in_the_last_place(r, gamma_r, excess):
     # a level just above t = gamma_r / (1 + gamma_r) puts the hi edge just below s = 1, the smallest
     # attachments, where a unit in the last place of s moves the loss most; s**r - s cancels there,
-    # and summing the terms directly, as the bisection default does, costs several units
+    # and summing the terms directly, as the bisected reference does, costs several units
     curve, t = DistortionCurve(PowerDistortion(r)), _tilts(0.0, gamma_r=gamma_r)[0]
     m = t * (1.0 + excess)
     with mp.workdps(40):
@@ -454,36 +445,53 @@ def test_power_hi_edge_near_one_within_a_unit_in_the_last_place(r, gamma_r, exce
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(
     st.floats(0.05, 0.999),
-    st.floats(-3.0, 0.3),
-    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(-3.0, 3.0),
+    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
 )
-def test_power_level_edges_hit_the_level_and_match_the_bisection_default(r, t, fraction):
+def test_power_level_edges_hit_the_level_and_match_the_bisection(r, t, fraction):
+    # levels below zero (mu < 0 in crossings) and tilts above one (slope < -1) included
     curve = DistortionCurve(PowerDistortion(r))
     peak = curve.tilted_peak(t)
     top = float(_tilted(curve, t, peak))
     m = fraction * top
-    assume(0.0 < m < top)
+    assume(-top < m < top)
     lo, hi = curve.level_edges(t, m)
     assert 0.0 <= lo <= peak <= hi <= 1.0
     scale = 1e-13 * max(1.0, top)
-    assert abs(float(_tilted(curve, t, lo)) - m) <= scale
-    assert abs(float(_tilted(curve, t, hi)) - m) <= scale if hi < 1.0 else float(_tilted(curve, t, 1.0)) >= m - scale
+    for edge, end in ((lo, 0.0), (hi, 1.0)):
+        value = float(_tilted(curve, t, edge))
+        assert abs(value - m) <= scale if edge != end else value >= m - scale
     if m >= 0.99 * top or top < 1e-290:
         return  # ill conditioned near the top; subnormal terms below 1e-290
     tau = 1.0 - t
-    for edge, bisected in zip((lo, hi), BaseCurve.level_edges(curve, t, m)):
+    for edge, bisected in zip((lo, hi), bisected_level_edges(curve, t, m)):
         if bisected in (0.0, 1.0):  # 0.0: an edge below the smallest subnormal
             assert edge == bisected
             continue
         # to the condition number of the root: the relative move of the edge per relative rounding
         # of the terms of h(s) = s**r - tau * s - m, which grows as r nears 1 (ILL_CONDITIONED)
-        kappa = (bisected**r + tau * bisected + m) / abs(r * bisected**r - tau * bisected)
+        kappa = (bisected**r + abs(tau * bisected) + abs(m)) / abs(r * bisected**r - tau * bisected)
         assert abs(edge - bisected) <= 1e-14 * kappa * bisected + 1e-15 * peak
+
+
+def test_power_crossings_below_zero_and_at_slopes_below_minus_one():
+    kernel = from_distortion(PowerDistortion(0.3), 0.1)
+    # a level below zero holds on all of [0, 1] where the kernel ends above it
+    assert kernel.crossings(-0.05)[:2] == (0.0, 1.0)
+    # a slope below -1 makes the tilted curve rise up to s = 1, so the level set ends there; Newton
+    # lands within rounding of the bisected 0.011542436305031989 (the root is 0.01154243630503198626)
+    lo, hi, peak, _ = kernel.crossings(0.3, -2.0)
+    assert (hi, peak) == (1.0, 1.0)
+    assert lo == pytest.approx(0.011542436305031989, rel=1e-15, abs=0.0)
+    # on the line at exponent 1, K(1 - s) - slope * s = (gamma_r - slope) * s is at least mu < 0
+    # from 0 up to mu / (gamma_r - slope), short of 1 when gamma_r - slope < mu
+    lo, hi, _, _ = from_distortion(PowerDistortion(1.0), 0.1).crossings(-0.05, 0.5)
+    assert lo == 0.0 and hi == pytest.approx(0.125, rel=1e-15, abs=0.0)
 
 
 @dataclass(frozen=True)
 class SineCurve(BaseCurve):
-    """K0(u) = c sin(pi u) / pi, a user curve without closed-form level edges."""
+    """K0(u) = c sin(pi u) / pi, a user curve that bisects for its level edges."""
 
     c: float
 
@@ -496,6 +504,8 @@ class SineCurve(BaseCurve):
     def tilted_peak(self, t):
         return float(np.arccos(min(max(-t / self.c, -1.0), 1.0)) / np.pi)
 
+    level_edges = bisected_level_edges
+
     @property
     def survival_exponent(self):
         return 1.0
@@ -506,7 +516,7 @@ class SineCurve(BaseCurve):
 
 
 @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.9])
-def test_user_curve_gets_edges_from_the_bisection_default(fraction):
+def test_user_curve_crossings_come_from_its_level_edges(fraction):
     # with slope = gamma_r the tilt vanishes, so K0(1 - s) = m at s = asin(pi m / c) / pi and at 1 minus that
     kernel = PricingKernel(SineCurve(0.5), 0.1)
     _, _, peak, top = kernel.crossings(0.0, 0.1)
@@ -517,6 +527,15 @@ def test_user_curve_gets_edges_from_the_bisection_default(fraction):
     assert lo == pytest.approx(root, rel=1e-13, abs=1e-15)
     assert hi == pytest.approx(1.0 - root, rel=1e-13, abs=1e-15)
     _assert_level_set(kernel.base, 0.0, mu / 1.1, lo, hi, top / 1.1)
+
+
+@pytest.mark.parametrize("base", [BaseCurve, Distortion], ids=lambda cls: cls.__name__)
+def test_curve_without_level_edges_fails_at_construction(base):
+    # every other abstract member given: level_edges alone leaves the subclass abstract
+    names = base.__abstractmethods__ - {"level_edges"}
+    curve = type("NoEdges", (base,), {name: lambda self, *args: 0.0 for name in names})
+    with pytest.raises(TypeError, match="level_edges"):
+        curve()
 
 
 # levels from zero through the smallest subnormal and the last float below one

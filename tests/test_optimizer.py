@@ -44,7 +44,7 @@ from layeropt import (
     truncated_stop_loss,
     zero_schedule,
 )
-from conftest import cumulative_kernel_cost
+from conftest import bisected_level_edges, cumulative_kernel_cost
 from layeropt._integrate import curve_cost, purchasable
 import layeropt.optimizer as optimizer_module
 from layeropt.valuation import RiskLedger, risk_ledger
@@ -789,15 +789,15 @@ def _same_edge(model, edge, bisected):
 
 
 @pytest.mark.parametrize("solve", [dinkelbach_optimize, best_truncated_stop_loss], ids=lambda f: f.__name__)
-def test_power_edges_by_newton_solve_as_the_bisection_default(monkeypatch, solve):
+def test_power_edges_by_newton_solve_as_the_bisected_edges(monkeypatch, solve):
     """The power curve's level edges, solved by Newton, give the solvers what
-    the bisection default gives them: the same classifications, layer counts
-    and nonpositive-risk aborts, and the same layers."""
-    from layeropt.kernels import BaseCurve, DistortionCurve
+    the bisected reference edges give them: the same classifications, layer
+    counts and nonpositive-risk aborts, and the same layers."""
+    from layeropt.kernels import DistortionCurve
 
     cells = _power_kernel_cells()
     newton = [_solve_or_nonpositive(solve, cell) for cell in cells]
-    monkeypatch.setattr(DistortionCurve, "level_edges", BaseCurve.level_edges)
+    monkeypatch.setattr(DistortionCurve, "level_edges", bisected_level_edges)
     bisected = [_solve_or_nonpositive(solve, cell) for cell in cells]
     outcomes = []
     for (model, _, _), got, want in zip(cells, newton, bisected):
